@@ -11,15 +11,23 @@ use asgraph::valley::valley_free_distances;
 use asgraph::AsGraph;
 use bgp_types::{Asn, IpVersion, Relationship, RelationshipPair};
 use hybrid_tor::hybrid::HybridFinding;
-use hybrid_tor::impact::{
-    correction_sweep_in, correction_sweep_with, ImpactOptions, SweepCache, SweepOptions,
-};
+use hybrid_tor::impact::{correction_sweep_in, ImpactOptions, SweepCache, SweepOptions};
 use hybrid_tor::pipeline::{Pipeline, PipelineInput};
 use routesim::propagate::{propagate_origin, propagate_origins, PropagationOptions};
 use routesim::{OriginScheduling, Scenario};
 use topogen::HybridClass;
 
 use bench::record_gauge;
+
+/// One correction sweep with a fresh cache; returns the curve's step count.
+fn sweep_steps(
+    graph: &AsGraph,
+    findings: &[HybridFinding],
+    options: &ImpactOptions,
+    sweep: &SweepOptions,
+) -> usize {
+    correction_sweep_in(graph, findings, options, sweep, &mut SweepCache::new()).steps.len()
+}
 
 fn components(c: &mut Criterion) {
     let scale = bench::bench_scale();
@@ -185,7 +193,11 @@ fn components(c: &mut Criterion) {
         let pipeline = Pipeline::with_concurrency(threads);
         group.bench_function(&format!("threads={threads}"), |b| {
             b.iter(|| {
-                let input = PipelineInput::from_scenario_with(&scenario, &pipeline.options);
+                let input = PipelineInput::builder()
+                    .scenario(&scenario)
+                    .options(pipeline.options)
+                    .build()
+                    .expect("scenario inputs cannot fail");
                 black_box(pipeline.run(input).dataset.ipv6_links)
             })
         });
@@ -208,16 +220,12 @@ fn components(c: &mut Criterion) {
         let sweep = SweepOptions::with_concurrency(threads);
         group.bench_function(&format!("threads={threads}"), |b| {
             b.iter(|| {
-                black_box(
-                    correction_sweep_with(
-                        black_box(&misinferred),
-                        &hybrid_findings,
-                        &impact_options,
-                        &sweep,
-                    )
-                    .steps
-                    .len(),
-                )
+                black_box(sweep_steps(
+                    black_box(&misinferred),
+                    &hybrid_findings,
+                    &impact_options,
+                    &sweep,
+                ))
             })
         });
     }
@@ -225,31 +233,23 @@ fn components(c: &mut Criterion) {
         let sweep = SweepOptions::with_concurrency(1).with_incremental(incremental);
         group.bench_function(name, |b| {
             b.iter(|| {
-                black_box(
-                    correction_sweep_with(
-                        black_box(&misinferred),
-                        &hybrid_findings,
-                        &impact_options,
-                        &sweep,
-                    )
-                    .steps
-                    .len(),
-                )
+                black_box(sweep_steps(
+                    black_box(&misinferred),
+                    &hybrid_findings,
+                    &impact_options,
+                    &sweep,
+                ))
             })
         });
     }
     group.bench_function("uncached", |b| {
         b.iter(|| {
-            black_box(
-                correction_sweep_with(
-                    black_box(&misinferred),
-                    &hybrid_findings,
-                    &impact_options,
-                    &SweepOptions::sequential(),
-                )
-                .steps
-                .len(),
-            )
+            black_box(sweep_steps(
+                black_box(&misinferred),
+                &hybrid_findings,
+                &impact_options,
+                &SweepOptions::sequential(),
+            ))
         })
     });
     // Removal-heavy fixture: independent "detour" gadgets (4 reachable at
@@ -309,16 +309,12 @@ fn components(c: &mut Criterion) {
         let sweep = SweepOptions::with_concurrency(1).with_removal_repair(removal_repair);
         group.bench_function(name, |b| {
             b.iter(|| {
-                black_box(
-                    correction_sweep_with(
-                        black_box(&removal_graph),
-                        &removal_findings,
-                        &removal_options,
-                        &sweep,
-                    )
-                    .steps
-                    .len(),
-                )
+                black_box(sweep_steps(
+                    black_box(&removal_graph),
+                    &removal_findings,
+                    &removal_options,
+                    &sweep,
+                ))
             })
         });
     }
@@ -331,16 +327,12 @@ fn components(c: &mut Criterion) {
     let (misinferred10k, hybrids10k) = bench::sweep_inputs(&scenario10k);
     group.bench_function("scale=10k", |b| {
         b.iter(|| {
-            black_box(
-                correction_sweep_with(
-                    black_box(&misinferred10k),
-                    &hybrids10k,
-                    &impact_options,
-                    &SweepOptions::with_concurrency(0),
-                )
-                .steps
-                .len(),
-            )
+            black_box(sweep_steps(
+                black_box(&misinferred10k),
+                &hybrids10k,
+                &impact_options,
+                &SweepOptions::with_concurrency(0),
+            ))
         })
     });
     group.finish();

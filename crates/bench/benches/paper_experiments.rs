@@ -22,7 +22,9 @@ use hybrid_tor::baselines::{gao_inference, BaselineInput};
 use hybrid_tor::communities::CommunityInference;
 use hybrid_tor::extract::{extract, ExtractedData};
 use hybrid_tor::hybrid::detect_hybrids;
-use hybrid_tor::impact::{correction_sweep, ImpactOptions};
+use hybrid_tor::impact::{
+    correction_sweep_in, plane_blind_annotation_with, ImpactOptions, SweepCache, SweepOptions,
+};
 use hybrid_tor::locpref::LocPrfRosetta;
 use hybrid_tor::valley::analyze_valleys;
 use irr::CommunityDictionary;
@@ -93,13 +95,18 @@ fn paper_experiments(c: &mut Criterion) {
     c.bench_function("f2_customer_tree_sweep", |b| {
         let hybrids = detect_hybrids(&prepared.data, &prepared.inference).findings;
         let baseline = gao_inference(&prepared.data, BaselineInput::BothPlanes);
-        let misinferred = hybrid_tor::impact::plane_blind_annotation(
-            &prepared.data.graph,
-            &prepared.inference,
-            &baseline,
-        );
+        let misinferred =
+            plane_blind_annotation_with(&prepared.data.graph, &prepared.inference, &baseline, 1);
         let options = ImpactOptions { top_k: 10, source_cap: Some(100) };
-        b.iter(|| black_box(correction_sweep(&misinferred, &hybrids, &options).steps.len()))
+        let sweep = SweepOptions::sequential();
+        b.iter(|| {
+            let mut cache = SweepCache::new();
+            black_box(
+                correction_sweep_in(&misinferred, &hybrids, &options, &sweep, &mut cache)
+                    .steps
+                    .len(),
+            )
+        })
     });
 
     c.bench_function("a1_baseline_gao", |b| {

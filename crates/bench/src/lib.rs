@@ -317,15 +317,17 @@ impl ExecKnobs {
         Pipeline { options: PipelineOptions::from(self), ..Default::default() }
     }
 
-    /// Apply the worker/scheduling/backend/scenario knobs to a simulator
-    /// configuration, via `PipelineOptions::configure_sim`: knobs the
-    /// configuration leaves at their *defaults* take these values,
-    /// anything else is kept. Every scenario the harness builds —
-    /// including the per-rate/per-collector rebuilds inside
-    /// [`coverage_sweep`] and [`collector_sensitivity`] — goes through
-    /// this.
+    /// Apply these knobs to a simulator configuration: the execution
+    /// knobs (workers, frontier split, scheduling, backend) via
+    /// `PipelineOptions::configure_sim`, then the scenario and deployment
+    /// output knobs. Every scenario the harness builds — including the
+    /// per-rate/per-collector rebuilds inside [`coverage_sweep`] and
+    /// [`collector_sensitivity`] — goes through this.
     pub fn sim(&self, sim: &SimConfig) -> SimConfig {
-        PipelineOptions::from(self).configure_sim(sim.clone())
+        PipelineOptions::from(self)
+            .configure_sim(sim.clone())
+            .with_scenario(self.scenario)
+            .with_deployment(self.deployment)
     }
 }
 
@@ -339,7 +341,6 @@ impl From<&ExecKnobs> for PipelineOptions {
             .with_scheduling(knobs.scheduling)
             .with_csr(knobs.csr)
             .with_scenario(knobs.scenario)
-            .with_deployment(knobs.deployment)
     }
 }
 
@@ -499,7 +500,13 @@ pub fn build_scenario(scale: &ExperimentScale) -> Scenario {
 /// Figure 2 sweep) and return the report. Honours `HYBRID_THREADS`.
 pub fn run_measurement(scenario: &Scenario) -> Report {
     let pipeline = ExecKnobs::from_env().pipeline();
-    pipeline.run(PipelineInput::from_scenario_with(scenario, &pipeline.options))
+    pipeline.run(
+        PipelineInput::builder()
+            .scenario(scenario)
+            .options(pipeline.options)
+            .build()
+            .expect("scenario inputs cannot fail"),
+    )
 }
 
 /// G1/G2: synthesise a deterministic update stream over the scenario and
@@ -550,7 +557,13 @@ pub fn run_measurement_with_impact(
         emit_sweep_stats: true,
         ..Pipeline::with_impact(top_k, source_cap)
     };
-    pipeline.run(PipelineInput::from_scenario_with(scenario, &pipeline.options))
+    pipeline.run(
+        PipelineInput::builder()
+            .scenario(scenario)
+            .options(pipeline.options)
+            .build()
+            .expect("scenario inputs cannot fail"),
+    )
 }
 
 /// F1: the Figure 1 example — the customer tree of AS1 under the two
@@ -1157,13 +1170,15 @@ mod tests {
 
     #[test]
     fn sweep_inputs_feed_an_equivalent_parallel_sweep() {
-        use hybrid_tor::impact::{correction_sweep, correction_sweep_with, SweepOptions};
+        use hybrid_tor::impact::{correction_sweep_in, SweepCache, SweepOptions};
         let scenario = build_scenario(&tiny_scale());
         let (misinferred, hybrids) = sweep_inputs(&scenario);
         let options = hybrid_tor::impact::ImpactOptions { top_k: 3, source_cap: Some(32) };
-        let sequential = correction_sweep(&misinferred, &hybrids, &options);
-        let parallel =
-            correction_sweep_with(&misinferred, &hybrids, &options, &SweepOptions::default());
+        let sweep = |sweep: &SweepOptions| {
+            correction_sweep_in(&misinferred, &hybrids, &options, sweep, &mut SweepCache::new())
+        };
+        let sequential = sweep(&SweepOptions::sequential());
+        let parallel = sweep(&SweepOptions::default());
         assert_eq!(parallel.steps, sequential.steps);
     }
 }

@@ -103,18 +103,11 @@ impl ImpactCurve {
 /// is used when available (that is what the historical, IPv4-dominated
 /// datasets encode), falling back to the plane-blind baseline heuristic.
 /// On hybrid links this is precisely the misinference the paper corrects.
-pub fn plane_blind_annotation(
-    data_graph: &AsGraph,
-    inference: &crate::communities::CommunityInference,
-    baseline: &crate::baselines::BaselineInference,
-) -> AsGraph {
-    plane_blind_annotation_with(data_graph, inference, baseline, 1)
-}
-
-/// [`plane_blind_annotation`] with an explicit worker count (`0` = all
-/// cores, `1` = sequential): the per-link relationship lookups are striped
-/// across workers and applied in edge order, so the annotated graph is
-/// identical whatever the worker count.
+///
+/// `concurrency` is the worker count (`0` = all cores, `1` = sequential):
+/// the per-link relationship lookups are striped across workers and
+/// applied in edge order, so the annotated graph is identical whatever
+/// the worker count.
 pub fn plane_blind_annotation_with(
     data_graph: &AsGraph,
     inference: &crate::communities::CommunityInference,
@@ -538,7 +531,7 @@ fn combine_step(
 /// Run the correction sweep on the IPv6 plane.
 ///
 /// * `misinferred` — a graph whose IPv6 annotation comes from the
-///   plane-blind inference (see [`plane_blind_annotation`]); it is cloned,
+///   plane-blind inference (see [`plane_blind_annotation_with`]); it is cloned,
 ///   not modified.
 /// * `hybrids` — the detected hybrid links, already sorted by descending
 ///   IPv6 path visibility (as [`crate::hybrid::HybridReport`] returns them).
@@ -553,31 +546,10 @@ fn combine_step(
 /// thanks to a correction are reflected in `reachability`, which is
 /// measured over all ordered union pairs).
 ///
-/// This entry point runs sequentially without memoization (the historical
-/// behaviour); use [`correction_sweep_with`] to pick worker counts and
-/// caching — the curve is identical either way.
-pub fn correction_sweep(
-    misinferred: &AsGraph,
-    hybrids: &[HybridFinding],
-    options: &ImpactOptions,
-) -> ImpactCurve {
-    correction_sweep_with(misinferred, hybrids, options, &SweepOptions::sequential())
-}
-
-/// [`correction_sweep`] with explicit execution options (a fresh
-/// throwaway [`SweepCache`] is used when `sweep.cache` is set).
-pub fn correction_sweep_with(
-    misinferred: &AsGraph,
-    hybrids: &[HybridFinding],
-    options: &ImpactOptions,
-    sweep: &SweepOptions,
-) -> ImpactCurve {
-    correction_sweep_in(misinferred, hybrids, options, sweep, &mut SweepCache::new())
-}
-
-/// [`correction_sweep`] with explicit execution options and a
-/// caller-owned [`SweepCache`], so hit/miss statistics can be inspected
-/// (and accumulated across sweeps) afterwards.
+/// `sweep` picks worker counts and the memoization / delta-repair tiers —
+/// the curve is identical whatever it says — and `cache` is caller-owned,
+/// so hit/miss statistics can be inspected (and accumulated across
+/// sweeps) afterwards.
 pub fn correction_sweep_in(
     misinferred: &AsGraph,
     hybrids: &[HybridFinding],
@@ -755,6 +727,25 @@ mod tests {
     use bgp_types::RelationshipPair;
     use topogen::HybridClass;
 
+    /// The reference sweep: sequential, no memoization.
+    fn reference_sweep(
+        misinferred: &AsGraph,
+        hybrids: &[HybridFinding],
+        options: &ImpactOptions,
+    ) -> ImpactCurve {
+        sweep_with(misinferred, hybrids, options, &SweepOptions::sequential())
+    }
+
+    /// [`correction_sweep_in`] with a throwaway cache.
+    fn sweep_with(
+        misinferred: &AsGraph,
+        hybrids: &[HybridFinding],
+        options: &ImpactOptions,
+        sweep: &SweepOptions,
+    ) -> ImpactCurve {
+        correction_sweep_in(misinferred, hybrids, options, sweep, &mut SweepCache::new())
+    }
+
     /// A topology where the 10-20 link is misinferred as p2p on IPv6 while
     /// the community-derived relationship is p2c (10 provides free v6
     /// transit to 20). Stubs hang off both sides, plus a grandparent so
@@ -798,7 +789,7 @@ mod tests {
 
     #[test]
     fn sweep_records_baseline_plus_one_step_per_correction() {
-        let curve = correction_sweep(&misinferred_graph(), &[finding()], &ImpactOptions::default());
+        let curve = reference_sweep(&misinferred_graph(), &[finding()], &ImpactOptions::default());
         assert_eq!(curve.steps.len(), 2);
         assert_eq!(curve.steps[0].corrected, 0);
         assert_eq!(curve.steps[0].link, None);
@@ -810,7 +801,7 @@ mod tests {
 
     #[test]
     fn correcting_the_hybrid_link_improves_reachability() {
-        let curve = correction_sweep(&misinferred_graph(), &[finding()], &ImpactOptions::default());
+        let curve = reference_sweep(&misinferred_graph(), &[finding()], &ImpactOptions::default());
         let baseline = curve.baseline().unwrap();
         let fixed = curve.r#final().unwrap();
         // With 10-20 as p2p, routes that descend from AS9 into AS10 cannot
@@ -826,13 +817,13 @@ mod tests {
     fn top_k_limits_the_number_of_corrections() {
         let findings = vec![finding(), finding(), finding()];
         let options = ImpactOptions { top_k: 2, source_cap: None };
-        let curve = correction_sweep(&misinferred_graph(), &findings, &options);
+        let curve = reference_sweep(&misinferred_graph(), &findings, &options);
         assert_eq!(curve.steps.len(), 3); // baseline + 2
     }
 
     #[test]
     fn empty_findings_yield_a_flat_single_point_curve() {
-        let curve = correction_sweep(&misinferred_graph(), &[], &ImpactOptions::default());
+        let curve = reference_sweep(&misinferred_graph(), &[], &ImpactOptions::default());
         assert_eq!(curve.steps.len(), 1);
         assert_eq!(curve.avg_path_delta(), 0.0);
         assert_eq!(curve.diameter_delta(), 0);
@@ -842,7 +833,7 @@ mod tests {
     fn original_graph_is_not_modified() {
         let graph = misinferred_graph();
         let before = graph.relationship(Asn(10), Asn(20), IpVersion::V6);
-        let _ = correction_sweep(&graph, &[finding()], &ImpactOptions::default());
+        let _ = reference_sweep(&graph, &[finding()], &ImpactOptions::default());
         assert_eq!(graph.relationship(Asn(10), Asn(20), IpVersion::V6), before);
     }
 
@@ -875,15 +866,14 @@ mod tests {
         let graph = misinferred_graph();
         let findings = [finding(), second_finding()];
         let options = ImpactOptions::default();
-        let sequential =
-            correction_sweep_with(&graph, &findings, &options, &SweepOptions::sequential());
+        let sequential = sweep_with(&graph, &findings, &options, &SweepOptions::sequential());
         for concurrency in [2usize, 4] {
             for cache in [false, true] {
                 for incremental in [false, true] {
                     for removal_repair in [false, true] {
                         let sweep =
                             SweepOptions { concurrency, cache, incremental, removal_repair };
-                        let parallel = correction_sweep_with(&graph, &findings, &options, &sweep);
+                        let parallel = sweep_with(&graph, &findings, &options, &sweep);
                         assert_eq!(
                             parallel.steps, sequential.steps,
                             "concurrency={concurrency} cache={cache} incremental={incremental} \
@@ -917,7 +907,7 @@ mod tests {
         assert!(cache.misses() > 0);
         assert!(cache.hit_rate() > 0.0 && cache.hit_rate() < 1.0);
         assert_eq!(cache.lookups(), cache.hits() + cache.misses());
-        let uncached = correction_sweep(&g, &findings, &ImpactOptions::default());
+        let uncached = reference_sweep(&g, &findings, &ImpactOptions::default());
         assert_eq!(cached.steps, uncached.steps, "memoization changed the curve");
     }
 
@@ -1000,7 +990,7 @@ mod tests {
         assert!(text.contains("delta repairs"));
         assert!(text.contains("full BFS"));
         // And the curve is exactly the full-recompute one.
-        let full = correction_sweep(&g, &findings, &ImpactOptions::default());
+        let full = reference_sweep(&g, &findings, &ImpactOptions::default());
         assert_eq!(incremental.steps, full.steps, "delta engine changed the curve");
     }
 
@@ -1080,7 +1070,7 @@ mod tests {
         );
         assert!(repair_cache.delta_repairs() > fallback_cache.delta_repairs());
         assert_eq!(repaired.steps, fallback.steps, "removal repair changed the curve");
-        let full = correction_sweep(&g, &findings, &options);
+        let full = reference_sweep(&g, &findings, &options);
         assert_eq!(repaired.steps, full.steps, "removal repair diverged from full recompute");
     }
 

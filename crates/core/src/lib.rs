@@ -39,7 +39,8 @@
 //! use topogen::TopologyConfig;
 //!
 //! let scenario = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-//! let report = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+//! let input = PipelineInput::builder().scenario(&scenario).build().unwrap();
+//! let report = Pipeline::default().run(input);
 //! assert!(report.dataset.ipv6_paths > 0);
 //! ```
 

@@ -32,7 +32,7 @@ impl PipelineInput {
     /// Start describing an input: pick one base source (a simulated
     /// scenario, MRT files on disk, or a raw snapshot), optionally replay
     /// an [`UpdateStream`] on top of it, and set the execution options
-    /// once. The older `from_*` constructors are thin shims over this.
+    /// once.
     ///
     /// ```
     /// use hybrid_tor::pipeline::PipelineInput;
@@ -45,47 +45,6 @@ impl PipelineInput {
     /// ```
     pub fn builder() -> PipelineInputBuilder<'static> {
         PipelineInputBuilder::default()
-    }
-
-    /// Build the input from a simulated scenario: pools its collectors,
-    /// parses its registry, and carries the ground truth along. Uses the
-    /// default execution options (all available parallelism).
-    pub fn from_scenario(scenario: &routesim::Scenario) -> Self {
-        Self::from_scenario_with(scenario, &PipelineOptions::default())
-    }
-
-    /// [`from_scenario`](Self::from_scenario) with explicit execution
-    /// options: per-collector snapshot pooling runs sharded, concurrently
-    /// with the IRR dictionary build, when more than one worker is
-    /// allowed. The pooled entry order is worker-count independent.
-    pub fn from_scenario_with(scenario: &routesim::Scenario, options: &PipelineOptions) -> Self {
-        Self::builder()
-            .scenario(scenario)
-            .options(*options)
-            .build()
-            .expect("scenario inputs cannot fail")
-    }
-
-    /// Build the input from MRT files and an IRR dump on disk — the shape
-    /// a measurement against real archives would take. Uses the default
-    /// execution options (all available parallelism).
-    pub fn from_files(
-        mrt_paths: &[impl AsRef<Path> + Sync],
-        registry_path: impl AsRef<Path>,
-    ) -> Result<Self, std::io::Error> {
-        Self::from_files_with(mrt_paths, registry_path, &PipelineOptions::default())
-    }
-
-    /// [`from_files`](Self::from_files) with explicit execution options:
-    /// the per-collector MRT files are parsed on worker threads and merged
-    /// in path order, so the pooled snapshot — and the first error
-    /// surfaced, if any — match the sequential read exactly.
-    pub fn from_files_with(
-        mrt_paths: &[impl AsRef<Path> + Sync],
-        registry_path: impl AsRef<Path>,
-        options: &PipelineOptions,
-    ) -> Result<Self, std::io::Error> {
-        Self::builder().files(mrt_paths, registry_path).options(*options).build()
     }
 }
 
@@ -116,13 +75,19 @@ pub struct PipelineInputBuilder<'a> {
 
 impl<'a> PipelineInputBuilder<'a> {
     /// Use a simulated scenario as the base source (replaces any source
-    /// chosen earlier).
+    /// chosen earlier): its collectors are pooled — sharded, alongside the
+    /// IRR dictionary build, when more than one worker is allowed — and
+    /// its ground truth is carried along. The pooled entry order is
+    /// worker-count independent.
     pub fn scenario(self, scenario: &'a routesim::Scenario) -> Self {
         PipelineInputBuilder { source: InputSource::Scenario(scenario), ..self }
     }
 
     /// Use MRT files plus an IRR registry dump as the base source
-    /// (replaces any source chosen earlier).
+    /// (replaces any source chosen earlier) — the shape a measurement
+    /// against real archives would take. The files are parsed on worker
+    /// threads and merged in path order, so the pooled snapshot — and the
+    /// first error surfaced, if any — are the same at every worker count.
     pub fn files(self, mrt_paths: &[impl AsRef<Path>], registry_path: impl AsRef<Path>) -> Self {
         let source = InputSource::Files {
             mrt: mrt_paths.iter().map(|p| p.as_ref().to_path_buf()).collect(),
@@ -171,40 +136,24 @@ impl<'a> PipelineInputBuilder<'a> {
                 ))
             }
             InputSource::Scenario(scenario) => {
+                // The caller thread builds the dictionary, so pooling gets
+                // one worker less to keep the total at the budget.
                 let workers = options.workers();
-                let (snapshot, dictionary) = if workers > 1 {
-                    std::thread::scope(|scope| {
-                        // The main thread builds the dictionary, so pooling
-                        // gets one worker less to keep the total at the
-                        // budget.
-                        let pool_workers = workers - 1;
-                        let pooled = scope.spawn(move || scenario.pooled_snapshot(pool_workers));
-                        let dictionary = scenario.registry.build_dictionary();
-                        (pooled.join().expect("snapshot pooling worker panicked"), dictionary)
-                    })
-                } else {
-                    (scenario.pooled_snapshot(1), scenario.registry.build_dictionary())
-                };
+                let (snapshot, dictionary) = join(
+                    workers,
+                    || scenario.pooled_snapshot((workers - 1).max(1)),
+                    || scenario.registry.build_dictionary(),
+                );
                 PipelineInput { snapshot, dictionary, truth: Some(scenario.truth.clone()) }
             }
             InputSource::Files { mrt, registry } => {
-                let read = |path: &PathBuf| {
+                let parsed = routesim::shard_map(&mrt, options.workers(), |path| {
                     mrt::read_snapshot_from_path(path)
-                        .map_err(|e| std::io::Error::other(e.to_string()))
-                };
-                let workers = options.workers();
+                        .map_err(|e| std::io::Error::other(format!("{}: {e}", path.display())))
+                });
                 let mut snapshot = RibSnapshot::default();
-                if workers <= 1 || mrt.len() <= 1 {
-                    // Sequential: stop at the first failing file.
-                    for path in &mrt {
-                        snapshot.merge(read(path)?);
-                    }
-                } else {
-                    let parsed: Vec<Result<RibSnapshot, std::io::Error>> =
-                        routesim::shard_map(&mrt, workers, read);
-                    for snap in parsed {
-                        snapshot.merge(snap?);
-                    }
+                for snap in parsed {
+                    snapshot.merge(snap?);
                 }
                 let registry = IrrRegistry::load(registry)?;
                 PipelineInput { snapshot, dictionary: registry.build_dictionary(), truth: None }
@@ -264,20 +213,13 @@ pub struct PipelineOptions {
     /// `PipelineOptions::default()` carries; like `concurrency`, the knob
     /// never changes the report bytes.
     pub sweep: SweepOptions,
-    /// The adversarial scenario any scenario built on this pipeline's
-    /// behalf propagates under (see [`routesim::PolicyScenario`]).
-    /// Resolved into `SimConfig::policy_scenario` by
-    /// [`configure_sim`](Self::configure_sim). Unlike every knob above,
-    /// this is an **output** knob: a non-default scenario changes the
-    /// routes, so it changes the report — but it must stay invisible to
-    /// worker counts (the determinism matrix pins that).
+    /// The adversarial scenario the input was propagated under (see
+    /// [`routesim::PolicyScenario`]), recorded in the report when it is
+    /// not the classic default. Unlike every knob above, this is an
+    /// **output** knob — and so [`configure_sim`](Self::configure_sim)
+    /// leaves `SimConfig::policy_scenario` alone: the caller building the
+    /// scenario sets both.
     pub policy_scenario: routesim::PolicyScenario,
-    /// The fraction of ASes deploying the scenario's defensive policy
-    /// (ROV / ASPA-lite), in `[0, 1]`. Resolved into
-    /// `SimConfig::policy_deployment` by
-    /// [`configure_sim`](Self::configure_sim). An output knob, like
-    /// [`policy_scenario`](Self::policy_scenario).
-    pub policy_deployment: f64,
 }
 
 impl Default for PipelineOptions {
@@ -289,7 +231,6 @@ impl Default for PipelineOptions {
             csr: true,
             sweep: SweepOptions::default(),
             policy_scenario: routesim::PolicyScenario::default(),
-            policy_deployment: 0.0,
         }
     }
 }
@@ -339,55 +280,26 @@ impl PipelineOptions {
         PipelineOptions { policy_scenario, ..self }
     }
 
-    /// These options with the given defensive-deployment fraction.
-    pub fn with_deployment(self, policy_deployment: f64) -> Self {
-        PipelineOptions { policy_deployment, ..self }
-    }
-
     /// The worker count these options resolve to (`0` = all cores).
     pub fn workers(&self) -> usize {
         routesim::effective_concurrency(self.concurrency)
     }
 
-    /// The frontier worker count these options resolve to (`0` = all
-    /// cores).
-    pub fn frontier_workers(&self) -> usize {
-        routesim::effective_concurrency(self.frontier_concurrency)
-    }
-
-    /// Stamp these options onto a simulator configuration so a scenario
-    /// built for this pipeline run propagates under the same worker
-    /// budget, frontier split, origin schedule, graph backend and
-    /// adversarial scenario. Only knobs the configuration leaves at their
-    /// *default values* are overwritten (`concurrency == 0`,
-    /// `frontier_concurrency == 1`, `scheduling == Degree`, `csr ==
-    /// true`, `policy_scenario == Classic`, `policy_deployment == 0.0`);
-    /// any other value is kept. Note the defaults double as the
-    /// "unpinned" sentinels: a caller that wants `concurrency = 0` (all
-    /// cores), `frontier_concurrency = 1` (sequential scans), degree-aware
-    /// scheduling, the CSR backend, the classic policy or a zero
-    /// deployment *regardless of these options* must set them after this
-    /// call, not before.
-    pub fn configure_sim(&self, mut sim: routesim::SimConfig) -> routesim::SimConfig {
-        if sim.concurrency == 0 {
-            sim.concurrency = self.concurrency;
+    /// Stamp these options' execution fields onto a simulator
+    /// configuration so a scenario built for this pipeline run propagates
+    /// under the same worker budget, frontier split, origin schedule and
+    /// graph backend. The four fields are overwritten unconditionally —
+    /// they are byte-invisible by contract — and the configuration's
+    /// output knobs (`policy_scenario`, `policy_deployment`, …) are left
+    /// as they are.
+    pub fn configure_sim(&self, sim: routesim::SimConfig) -> routesim::SimConfig {
+        routesim::SimConfig {
+            concurrency: self.concurrency,
+            frontier_concurrency: self.frontier_concurrency,
+            scheduling: self.scheduling,
+            csr: self.csr,
+            ..sim
         }
-        if sim.frontier_concurrency == 1 {
-            sim.frontier_concurrency = self.frontier_concurrency;
-        }
-        if sim.scheduling == routesim::OriginScheduling::Degree {
-            sim.scheduling = self.scheduling;
-        }
-        if sim.csr {
-            sim.csr = self.csr;
-        }
-        if sim.policy_scenario == routesim::PolicyScenario::Classic {
-            sim.policy_scenario = self.policy_scenario;
-        }
-        if sim.policy_deployment == 0.0 {
-            sim.policy_deployment = self.policy_deployment;
-        }
-        sim
     }
 }
 
@@ -443,6 +355,24 @@ impl Default for Pipeline {
     }
 }
 
+/// Run `a` on a scoped helper thread while the caller runs `b` when
+/// `workers > 1`; otherwise run both inline, `a` first. The pipeline's
+/// one fork primitive: every concurrent stage pair goes through it.
+fn join<RA: Send, RB>(
+    workers: usize,
+    a: impl FnOnce() -> RA + Send,
+    b: impl FnOnce() -> RB,
+) -> (RA, RB) {
+    if workers <= 1 {
+        return (a(), b());
+    }
+    std::thread::scope(|scope| {
+        let a = scope.spawn(a);
+        let b = b();
+        (a.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), b)
+    })
+}
+
 impl Pipeline {
     /// A pipeline that also runs the Figure 2 sweep.
     pub fn with_impact(top_k: usize, source_cap: Option<usize>) -> Self {
@@ -460,12 +390,15 @@ impl Pipeline {
 
     /// Run the full measurement and produce a [`Report`].
     ///
-    /// With more than one worker allowed, the stages that are independent
-    /// of one another run concurrently: extraction alongside community
-    /// decoding, then — after the LocPrf extension — hybrid detection,
-    /// valley analysis and the Gao baseline. Each stage computes exactly
-    /// what the sequential path computes, so the report is byte-identical
-    /// at every worker count.
+    /// The stages run as one fixed sequence: extraction ‖ community
+    /// inference → CSR freeze → LocPrf extension → hybrid detection ‖
+    /// (valley analysis ‖ Gao baseline) → dataset summary and baseline
+    /// accuracy → the optional Figure 2 sweep. Each `‖` is a fork point:
+    /// with more than one worker the left side runs on a helper thread
+    /// while the caller runs the right side, and the inner valley ‖ Gao
+    /// fork needs a third worker. With one worker every stage runs inline
+    /// on the caller. Each stage computes exactly the same thing wherever
+    /// it runs, so the report is byte-identical at every worker count.
     pub fn run(&self, input: PipelineInput) -> Report {
         self.run_with_artifacts(input).0
     }
@@ -514,16 +447,10 @@ impl Pipeline {
         //      scans of the pooled snapshot. A streaming session skips the
         //      extraction scan entirely: the counters were maintained
         //      route-by-route as updates applied.
-        let (mut data, mut inference) = if let Some(cache) = extract_cache {
-            (cache.materialize(), CommunityInference::from_snapshot(&snapshot, &dictionary))
-        } else if workers > 1 {
-            std::thread::scope(|scope| {
-                let extracted = scope.spawn(|| extract(&snapshot));
-                let inference = CommunityInference::from_snapshot(&snapshot, &dictionary);
-                (extracted.join().expect("extraction worker panicked"), inference)
-            })
-        } else {
-            (extract(&snapshot), CommunityInference::from_snapshot(&snapshot, &dictionary))
+        let communities = || CommunityInference::from_snapshot(&snapshot, &dictionary);
+        let (mut data, mut inference) = match extract_cache {
+            Some(cache) => (cache.materialize(), communities()),
+            None => join(workers, || extract(&snapshot), communities),
         };
         if self.options.csr {
             // Freeze once the graph is structurally complete; every later
@@ -543,44 +470,20 @@ impl Pipeline {
 
         // 4+5+7a. Hybrid detection, valley analysis and the Gao baseline
         //         all read (data, inference) without touching each other.
-        //         The caller thread counts against the worker budget, so
-        //         only spawn up to `workers - 1` helpers.
-        let (hybrids, (valleys, annotated), baseline) = if workers > 2 {
-            std::thread::scope(|scope| {
-                let hybrids = scope.spawn(|| detect_hybrids(&data, &inference));
-                let valleys = scope.spawn(|| {
-                    let mut annotated = data.graph.clone();
-                    inference.annotate_graph(&mut annotated);
-                    (run_valley_stage(&data, &annotated, valley_cache), annotated)
-                });
-                let baseline = gao_inference(&data, BaselineInput::BothPlanes);
-                (
-                    hybrids.join().expect("hybrid detection worker panicked"),
-                    valleys.join().expect("valley analysis worker panicked"),
-                    baseline,
-                )
-            })
-        } else if workers > 1 {
-            std::thread::scope(|scope| {
-                let hybrids = scope.spawn(|| detect_hybrids(&data, &inference));
-                let mut annotated = data.graph.clone();
-                inference.annotate_graph(&mut annotated);
-                let valleys = run_valley_stage(&data, &annotated, valley_cache);
-                let baseline = gao_inference(&data, BaselineInput::BothPlanes);
-                (
-                    hybrids.join().expect("hybrid detection worker panicked"),
-                    (valleys, annotated),
-                    baseline,
-                )
-            })
-        } else {
-            let hybrids = detect_hybrids(&data, &inference);
+        //         The caller thread counts against the worker budget:
+        //         hybrids take a helper, and valleys fork from the baseline
+        //         only when a third worker is left.
+        let valleys = || {
             let mut annotated = data.graph.clone();
             inference.annotate_graph(&mut annotated);
-            let valleys = run_valley_stage(&data, &annotated, valley_cache);
-            let baseline = gao_inference(&data, BaselineInput::BothPlanes);
-            (hybrids, (valleys, annotated), baseline)
+            (run_valley_stage(&data, &annotated, valley_cache), annotated)
         };
+        let baseline = || gao_inference(&data, BaselineInput::BothPlanes);
+        let (hybrids, ((valleys, annotated), baseline)) = join(
+            workers,
+            || detect_hybrids(&data, &inference),
+            || join(workers - 1, valleys, baseline),
+        );
 
         // 6. Dataset summary.
         let dual_stack_classified_both = data
@@ -672,10 +575,14 @@ mod tests {
         Scenario::build(&TopologyConfig::tiny(), &SimConfig::small())
     }
 
+    fn input(scenario: &routesim::Scenario) -> PipelineInput {
+        PipelineInput::builder().scenario(scenario).build().unwrap()
+    }
+
     #[test]
     fn pipeline_runs_end_to_end_on_a_simulated_scenario() {
         let scenario = scenario();
-        let report = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+        let report = Pipeline::default().run(input(&scenario));
         assert!(report.dataset.ipv6_paths > 0);
         assert!(report.dataset.ipv6_links > 0);
         assert!(report.dataset.dual_stack_links > 0);
@@ -696,7 +603,7 @@ mod tests {
     #[test]
     fn detected_hybrids_match_ground_truth_relationships() {
         let scenario = scenario();
-        let report = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+        let report = Pipeline::default().run(input(&scenario));
         // Every detected hybrid whose relationships we compare against the
         // ground truth must agree with it (communities never lie in the
         // simulator; coverage, not correctness, is the limiting factor).
@@ -713,9 +620,8 @@ mod tests {
     #[test]
     fn locpref_extension_increases_or_preserves_coverage() {
         let scenario = scenario();
-        let with = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
-        let without = Pipeline { use_locpref: false, ..Default::default() }
-            .run(PipelineInput::from_scenario(&scenario));
+        let with = Pipeline::default().run(input(&scenario));
+        let without = Pipeline { use_locpref: false, ..Default::default() }.run(input(&scenario));
         assert!(with.dataset.ipv6_links_classified >= without.dataset.ipv6_links_classified);
         assert_eq!(without.dataset.ipv6_links_from_locpref, 0);
     }
@@ -724,7 +630,7 @@ mod tests {
     fn impact_sweep_is_produced_when_requested() {
         let scenario = scenario();
         let pipeline = Pipeline::with_impact(5, Some(64));
-        let report = pipeline.run(PipelineInput::from_scenario(&scenario));
+        let report = pipeline.run(input(&scenario));
         let curve = report.impact.expect("impact requested");
         assert!(!curve.steps.is_empty());
         assert_eq!(curve.steps[0].corrected, 0);
@@ -737,8 +643,8 @@ mod tests {
         let scenario = scenario();
         let silent = Pipeline::with_impact(5, Some(64));
         let chatty = Pipeline { emit_sweep_stats: true, ..Pipeline::with_impact(5, Some(64)) };
-        let without = silent.run(PipelineInput::from_scenario(&scenario));
-        let with = chatty.run(PipelineInput::from_scenario(&scenario));
+        let without = silent.run(input(&scenario));
+        let with = chatty.run(input(&scenario));
         let stats = with.sweep_stats.expect("stats requested");
         assert!(stats.lookups() > 0);
         assert_eq!(stats.misses, stats.delta_repairs + stats.full_rebuilds);
@@ -760,9 +666,9 @@ mod tests {
         let registry_path = dir.join("irr.txt");
         scenario.registry.save(&registry_path).unwrap();
 
-        let input = PipelineInput::from_files(&mrt_paths, &registry_path).unwrap();
-        let from_disk = Pipeline::default().run(input);
-        let in_memory = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+        let from_disk = Pipeline::default()
+            .run(PipelineInput::builder().files(&mrt_paths, &registry_path).build().unwrap());
+        let in_memory = Pipeline::default().run(input(&scenario));
         // LocPrf and communities survive the MRT round trip, so the headline
         // numbers match exactly.
         assert_eq!(from_disk.dataset.ipv6_links, in_memory.dataset.ipv6_links);
@@ -777,15 +683,22 @@ mod tests {
 
     #[test]
     fn missing_files_surface_an_error() {
-        let result = PipelineInput::from_files(&["/nonexistent/a.mrt"], "/nonexistent/irr.txt");
-        assert!(result.is_err());
-        // The sequential path surfaces the same error.
-        let sequential = PipelineInput::from_files_with(
-            &["/nonexistent/a.mrt"],
-            "/nonexistent/irr.txt",
-            &PipelineOptions::sequential(),
-        );
-        assert!(sequential.is_err());
+        // Every worker count reports the same error: the first failing
+        // file in path order.
+        let missing = ["/nonexistent/a.mrt", "/nonexistent/b.mrt"];
+        let errors: Vec<String> = [1, 2]
+            .into_iter()
+            .map(|workers| {
+                PipelineInput::builder()
+                    .files(&missing, "/nonexistent/irr.txt")
+                    .options(PipelineOptions::with_concurrency(workers))
+                    .build()
+                    .expect_err("missing MRT files must fail")
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(errors[0], errors[1]);
+        assert!(errors[0].contains(missing[0]), "{}", errors[0]);
     }
 
     #[test]
@@ -806,19 +719,11 @@ mod tests {
     #[test]
     fn frontier_knob_resolves_and_stamps_unpinned_sim_configs() {
         assert_eq!(PipelineOptions::default().frontier_concurrency, 1, "default is sequential");
-        assert_eq!(PipelineOptions::sequential().frontier_workers(), 1);
         let options = PipelineOptions::with_concurrency(4).with_frontier(2);
-        assert_eq!(options.frontier_workers(), 2);
-        assert!(PipelineOptions::default().with_frontier(0).frontier_workers() >= 1);
-        // Unpinned sim knobs take the pipeline's execution options ...
+        assert_eq!(options.frontier_concurrency, 2);
         let sim = options.configure_sim(SimConfig::small());
         assert_eq!(sim.concurrency, 4);
         assert_eq!(sim.frontier_concurrency, 2);
-        // ... pinned ones are kept.
-        let pinned = SimConfig::small().with_concurrency(3).with_frontier(5);
-        let kept = options.configure_sim(pinned);
-        assert_eq!(kept.concurrency, 3);
-        assert_eq!(kept.frontier_concurrency, 5);
     }
 
     #[test]
@@ -828,14 +733,8 @@ mod tests {
         let options =
             PipelineOptions::with_concurrency(4).with_scheduling(OriginScheduling::Static);
         assert_eq!(options.scheduling, OriginScheduling::Static);
-        // An unpinned sim config takes the pipeline's schedule ...
         let sim = options.configure_sim(SimConfig::small());
         assert_eq!(sim.scheduling, OriginScheduling::Static);
-        // ... a pinned one is kept (Degree is the unpinned sentinel, so a
-        // config pinned to Static survives a Degree-scheduled pipeline).
-        let pinned = SimConfig::small().with_scheduling(OriginScheduling::Static);
-        let kept = PipelineOptions::default().configure_sim(pinned);
-        assert_eq!(kept.scheduling, OriginScheduling::Static);
     }
 
     #[test]
@@ -843,35 +742,31 @@ mod tests {
         assert!(PipelineOptions::default().csr, "the CSR mirror is the default backend");
         let options = PipelineOptions::default().with_csr(false);
         assert!(!options.csr);
-        // An unpinned sim config takes the pipeline's backend ...
         let sim = options.configure_sim(SimConfig::small());
         assert!(!sim.csr);
-        // ... a pinned one is kept (`true` is the unpinned sentinel, so a
-        // config pinned to the map backend survives a CSR pipeline).
-        let pinned = SimConfig::small().with_csr(false);
-        let kept = PipelineOptions::default().configure_sim(pinned);
-        assert!(!kept.csr);
     }
 
     #[test]
-    fn scenario_knobs_resolve_and_stamp_unpinned_sim_configs() {
-        use routesim::PolicyScenario;
+    fn configure_sim_overwrites_execution_fields_and_keeps_output_knobs() {
+        use routesim::{OriginScheduling, PolicyScenario};
         assert_eq!(PipelineOptions::default().policy_scenario, PolicyScenario::Classic);
-        assert_eq!(PipelineOptions::default().policy_deployment, 0.0);
-        let options = PipelineOptions::default()
-            .with_scenario(PolicyScenario::RouteLeak)
-            .with_deployment(0.5);
-        // An unpinned sim config takes the pipeline's scenario ...
-        let sim = options.configure_sim(SimConfig::small());
-        assert_eq!(sim.policy_scenario, PolicyScenario::RouteLeak);
-        assert_eq!(sim.policy_deployment, 0.5);
-        // ... a pinned one is kept (Classic / 0.0 are the unpinned
-        // sentinels, so any other value survives the stamp).
-        let pinned =
-            SimConfig::small().with_scenario(PolicyScenario::SubprefixHijack).with_deployment(0.25);
-        let kept = options.configure_sim(pinned);
-        assert_eq!(kept.policy_scenario, PolicyScenario::SubprefixHijack);
-        assert_eq!(kept.policy_deployment, 0.25);
+        let sim = SimConfig::small()
+            .with_concurrency(3)
+            .with_frontier(5)
+            .with_scheduling(OriginScheduling::Static)
+            .with_csr(false)
+            .with_scenario(PolicyScenario::SubprefixHijack)
+            .with_deployment(0.25);
+        // The options' execution fields win, even over pinned values ...
+        let stamped =
+            PipelineOptions::default().with_scenario(PolicyScenario::RouteLeak).configure_sim(sim);
+        assert_eq!(stamped.concurrency, 0);
+        assert_eq!(stamped.frontier_concurrency, 1);
+        assert_eq!(stamped.scheduling, OriginScheduling::Degree);
+        assert!(stamped.csr);
+        // ... and the sim's output fields are left alone.
+        assert_eq!(stamped.policy_scenario, PolicyScenario::SubprefixHijack);
+        assert_eq!(stamped.policy_deployment, 0.25);
     }
 
     #[test]
@@ -884,7 +779,8 @@ mod tests {
                 options,
                 ..Default::default()
             };
-            let input = PipelineInput::from_scenario_with(&scenario, &pipeline.options);
+            let input =
+                PipelineInput::builder().scenario(&scenario).options(options).build().unwrap();
             serde_json::to_string_pretty(&pipeline.run(input)).expect("report serializes")
         };
         let sequential = render(PipelineOptions::sequential());

@@ -101,7 +101,11 @@ impl ResidentState {
     /// resident snapshot. This is the only expensive call in the module —
     /// everything else answers from the state it builds.
     pub fn build(scenario: &routesim::Scenario, pipeline: &Pipeline) -> Self {
-        let input = PipelineInput::from_scenario_with(scenario, &pipeline.options);
+        let input = PipelineInput::builder()
+            .scenario(scenario)
+            .options(pipeline.options)
+            .build()
+            .expect("scenario inputs cannot fail");
         Self::from_input(input, pipeline)
     }
 
@@ -332,7 +336,8 @@ mod tests {
     #[test]
     fn resident_state_matches_a_fresh_pipeline_run() {
         let (scenario, state) = resident();
-        let fresh = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+        let fresh =
+            Pipeline::default().run(PipelineInput::builder().scenario(&scenario).build().unwrap());
         assert_eq!(state.report_json(), fresh.to_json(), "one build, same bytes");
         assert!(state.summary_json().contains("ipv6_paths"));
         assert!(!state.universe().is_empty());
@@ -363,7 +368,7 @@ mod tests {
     #[test]
     fn visibility_counts_are_consistent() {
         let (scenario, state) = resident();
-        let input = PipelineInput::from_scenario(&scenario);
+        let input = PipelineInput::builder().scenario(&scenario).build().unwrap();
         let data = crate::extract::extract(&input.snapshot);
         for &asn in state.universe().iter().take(50) {
             let expected = data.paths_v6.iter().filter(|p| p.path.contains(&asn)).count();

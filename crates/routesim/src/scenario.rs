@@ -553,12 +553,8 @@ impl ScenarioPool {
     /// Build the base scenario (topology generation + full build) the
     /// pool derives sweep points from.
     pub fn new(topology: &TopologyConfig, sim: &SimConfig) -> ScenarioPool {
-        Self::from_scenario(Scenario::build(topology, sim))
-    }
-
-    /// Wrap an already-built scenario as the pool's base.
-    pub fn from_scenario(base: Scenario) -> ScenarioPool {
         // The base build propagated both planes itself.
+        let base = Scenario::build(topology, sim);
         ScenarioPool { base, propagation_reuses: 0, propagation_computes: 2 }
     }
 

@@ -27,7 +27,9 @@ fn main() {
 
     eprintln!("building scenario with {} ASes ...", topology.total_as_count());
     let scenario = Scenario::build(&topology, &SimConfig::default());
-    let report = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+    let report = Pipeline::default().run(
+        PipelineInput::builder().scenario(&scenario).build().expect("scenario inputs cannot fail"),
+    );
     let hybrids = &report.hybrids;
 
     println!("== Hybrid IPv4/IPv6 relationship census ==");

@@ -48,7 +48,8 @@ fn main() {
     );
 
     // Run the pipeline purely from the on-disk artifacts.
-    let input = PipelineInput::from_files(&mrt_paths, &registry_path).expect("load from disk");
+    let input =
+        PipelineInput::builder().files(&mrt_paths, &registry_path).build().expect("load from disk");
     let report = Pipeline::default().run(input);
     println!("\npipeline over the decoded MRT files:");
     println!(
@@ -60,7 +61,9 @@ fn main() {
     );
 
     // And confirm it agrees with the in-memory run.
-    let in_memory = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+    let in_memory = Pipeline::default().run(
+        PipelineInput::builder().scenario(&scenario).build().expect("scenario inputs cannot fail"),
+    );
     assert_eq!(report.dataset.ipv6_links, in_memory.dataset.ipv6_links);
     assert_eq!(report.hybrids.findings.len(), in_memory.hybrids.findings.len());
     println!("  matches the in-memory pipeline exactly");

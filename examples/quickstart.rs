@@ -55,7 +55,13 @@ fn main() {
 
     eprintln!("running the hybrid-relationship measurement pipeline ...");
     let pipeline = Pipeline::with_concurrency(threads);
-    let report = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));
+    let report = pipeline.run(
+        PipelineInput::builder()
+            .scenario(&scenario)
+            .options(pipeline.options)
+            .build()
+            .expect("scenario inputs cannot fail"),
+    );
 
     if json {
         println!("{}", report.to_json());

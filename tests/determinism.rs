@@ -24,7 +24,9 @@ fn report_json_at(
     let scenario = Scenario::build(topology, &sim);
     let mut pipeline = Pipeline::with_concurrency(concurrency);
     pipeline.options = pipeline.options.with_frontier(frontier);
-    let report = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));
+    let report = pipeline.run(
+        PipelineInput::builder().scenario(&scenario).options(pipeline.options).build().unwrap(),
+    );
     serde_json::to_string_pretty(&report).expect("report serializes")
 }
 
@@ -157,7 +159,9 @@ fn backend_matrix_produces_byte_identical_reports() {
         let scenario = Scenario::build(&topology, &pinned);
         let mut pipeline = Pipeline::with_concurrency(concurrency);
         pipeline.options = pipeline.options.with_csr(csr);
-        let report = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));
+        let report = pipeline.run(
+            PipelineInput::builder().scenario(&scenario).options(pipeline.options).build().unwrap(),
+        );
         serde_json::to_string_pretty(&report).expect("report serializes")
     };
     let sequential_map = render(false, 1);
@@ -202,7 +206,9 @@ fn impact_report_json(
         options,
         ..Default::default()
     };
-    let report = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));
+    let report = pipeline.run(
+        PipelineInput::builder().scenario(&scenario).options(pipeline.options).build().unwrap(),
+    );
     serde_json::to_string_pretty(&report).expect("report serializes")
 }
 
@@ -301,8 +307,13 @@ fn fixture_report_matches_the_committed_golden_snapshot() {
         TopologyConfig::tiny(),
         &SimConfig::small().with_concurrency(1),
     );
-    let report = Pipeline::with_concurrency(1)
-        .run(PipelineInput::from_scenario_with(&scenario, &PipelineOptions::sequential()));
+    let report = Pipeline::with_concurrency(1).run(
+        PipelineInput::builder()
+            .scenario(&scenario)
+            .options(PipelineOptions::sequential())
+            .build()
+            .unwrap(),
+    );
     let rendered = serde_json::to_string_pretty(&report).expect("report serializes");
 
     let golden_path =
@@ -327,8 +338,13 @@ fn pooled_sweep_points_produce_byte_identical_reports() {
     let topology = TopologyConfig::tiny();
     let sim = SimConfig::small();
     let render = |scenario: &Scenario| {
-        let report = Pipeline::with_concurrency(1)
-            .run(PipelineInput::from_scenario_with(scenario, &PipelineOptions::sequential()));
+        let report = Pipeline::with_concurrency(1).run(
+            PipelineInput::builder()
+                .scenario(scenario)
+                .options(PipelineOptions::sequential())
+                .build()
+                .unwrap(),
+        );
         serde_json::to_string_pretty(&report).expect("report serializes")
     };
     let mut pool = hybrid_as_rel::sim::ScenarioPool::new(&topology, &sim);

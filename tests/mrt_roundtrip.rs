@@ -1,6 +1,6 @@
 //! MRT round-trip integration test: a merged collector snapshot written
 //! with `mrt::writer` and re-read with `mrt::read_snapshot_from_path` must
-//! be equivalent, and the `PipelineInput::from_files` path must reproduce
+//! be equivalent, and the `PipelineInput::builder().files(..)` path must reproduce
 //! the in-memory measurement.
 
 use hybrid_as_rel::mrt;
@@ -63,20 +63,18 @@ fn pipeline_from_files_matches_the_in_memory_measurement() {
     let registry_path = dir.join("irr.txt");
     scenario.registry.save(&registry_path).expect("write IRR registry dump");
 
-    let from_disk = Pipeline::default()
-        .run(PipelineInput::from_files(&mrt_paths, &registry_path).expect("load files"));
-    let in_memory = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+    let from_disk = Pipeline::default().run(
+        PipelineInput::builder().files(&mrt_paths, &registry_path).build().expect("load files"),
+    );
+    let in_memory =
+        Pipeline::default().run(PipelineInput::builder().scenario(&scenario).build().unwrap());
 
     // Sequential and parallel file loading pool the same snapshot.
-    let sequential =
-        PipelineInput::from_files_with(&mrt_paths, &registry_path, &PipelineOptions::sequential())
-            .expect("load files sequentially");
-    let parallel = PipelineInput::from_files_with(
-        &mrt_paths,
-        &registry_path,
-        &PipelineOptions::with_concurrency(4),
-    )
-    .expect("load files in parallel");
+    let load = |options: PipelineOptions| {
+        PipelineInput::builder().files(&mrt_paths, &registry_path).options(options).build()
+    };
+    let sequential = load(PipelineOptions::sequential()).expect("load files sequentially");
+    let parallel = load(PipelineOptions::with_concurrency(4)).expect("load files in parallel");
     assert_eq!(sequential.snapshot, parallel.snapshot, "pooling order depends on worker count");
 
     assert_eq!(from_disk.dataset.ipv6_paths, in_memory.dataset.ipv6_paths);
@@ -89,7 +87,7 @@ fn pipeline_from_files_matches_the_in_memory_measurement() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// `PipelineInput::from_files` error paths: a missing MRT file, a
+/// `PipelineInput::builder().files(..)` error paths: a missing MRT file, a
 /// truncated MRT record, and bad registry paths must all surface errors
 /// (on the sequential and the sharded loader alike) instead of silently
 /// producing a partial measurement.
@@ -106,7 +104,10 @@ fn pipeline_from_files_surfaces_missing_and_malformed_inputs() {
     let mut with_missing = mrt_paths.clone();
     with_missing.push(dir.join("missing.rib.mrt"));
     for options in [PipelineOptions::sequential(), PipelineOptions::with_concurrency(4)] {
-        let err = PipelineInput::from_files_with(&with_missing, &registry_path, &options)
+        let err = PipelineInput::builder()
+            .files(&with_missing, &registry_path)
+            .options(options)
+            .build()
             .expect_err("missing MRT file must fail");
         assert!(!err.to_string().is_empty());
     }
@@ -117,7 +118,9 @@ fn pipeline_from_files_surfaces_missing_and_malformed_inputs() {
     assert!(bytes.len() > 16, "fixture MRT file is implausibly small");
     let truncated_path = dir.join("truncated.rib.mrt");
     std::fs::write(&truncated_path, &bytes[..bytes.len() - 7]).expect("write truncated file");
-    let err = PipelineInput::from_files(&[truncated_path], &registry_path)
+    let err = PipelineInput::builder()
+        .files(&[truncated_path], &registry_path)
+        .build()
         .expect_err("truncated MRT record must fail");
     assert!(
         err.to_string().to_lowercase().contains("truncated"),
@@ -126,8 +129,10 @@ fn pipeline_from_files_surfaces_missing_and_malformed_inputs() {
 
     // Registry problems surface too: a missing dump and a directory where
     // a file is expected.
-    assert!(PipelineInput::from_files(&mrt_paths, dir.join("missing-irr.txt")).is_err());
-    assert!(PipelineInput::from_files(&mrt_paths, &dir).is_err());
+    let load =
+        |registry: &std::path::Path| PipelineInput::builder().files(&mrt_paths, registry).build();
+    assert!(load(&dir.join("missing-irr.txt")).is_err());
+    assert!(load(&dir).is_err());
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

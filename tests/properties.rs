@@ -12,7 +12,7 @@ use hybrid_as_rel::prelude::{Scenario, SimConfig, TopologyConfig};
 use hybrid_as_rel::sim::propagate::{propagate_origins, PropagationOptions};
 use hybrid_as_rel::topology::HybridClass;
 use hybrid_as_rel::tor::hybrid::HybridFinding;
-use hybrid_as_rel::tor::impact::{correction_sweep_with, ImpactOptions, SweepOptions};
+use hybrid_as_rel::tor::impact::{correction_sweep_in, ImpactOptions, SweepCache, SweepOptions};
 use hybrid_as_rel::types::{
     AsPath, Asn, Community, CommunitySet, IpVersion, PathAttributes, Prefix, Relationship,
     RelationshipPair,
@@ -479,14 +479,16 @@ proptest! {
         // The reference: fully sequential, uncached and fully
         // recomputing, exactly the computation the pre-sharding
         // implementation performed.
-        let sequential =
-            correction_sweep_with(&graph, &findings, &options, &SweepOptions::sequential());
+        let sweep_with = |sweep: &SweepOptions| {
+            correction_sweep_in(&graph, &findings, &options, sweep, &mut SweepCache::new())
+        };
+        let sequential = sweep_with(&SweepOptions::sequential());
         for threads in [2usize, 4] {
             for cache in [false, true] {
                 for incremental in [false, true] {
                     for removal_repair in [false, true] {
                         let sweep = SweepOptions { concurrency: threads, cache, incremental, removal_repair };
-                        let curve = correction_sweep_with(&graph, &findings, &options, &sweep);
+                        let curve = sweep_with(&sweep);
                         prop_assert_eq!(
                             &curve.steps,
                             &sequential.steps,
