@@ -97,6 +97,29 @@ fn components(c: &mut Criterion) {
             })
         });
     }
+    // The v6 plane as the scenario propagates it: reachability relaxation
+    // and the seeded leaks on, the two phases the default options above
+    // leave out.
+    let sim = &scale.sim;
+    let v6_options = PropagationOptions {
+        reachability_relaxation: sim.v6_reachability_relaxation,
+        leak_probability: sim.leak_probability,
+        seed: sim.seed,
+        ..PropagationOptions::default()
+    };
+    let mut v6_origins: Vec<Asn> =
+        graph.asns().filter(|a| graph.degree(*a, IpVersion::V6) > 0).collect();
+    v6_origins.sort();
+    group.throughput(Throughput::Elements(v6_origins.len() as u64));
+    group.bench_function("v6-scenario", |b| {
+        b.iter(|| {
+            black_box(
+                propagate_origins(graph, black_box(&v6_origins), IpVersion::V6, &v6_options, 1)
+                    .len(),
+            )
+        })
+    });
+    group.throughput(Throughput::Elements(origins.len() as u64));
     // The origin-to-worker schedule at a fixed worker count: degree-aware
     // LPT binning against the static striping baseline. Outputs are
     // byte-identical under both schedules — the rows only measure how

@@ -55,7 +55,7 @@ pub use policy::{
     PolicyScenario, PolicyTable, RovPolicy,
 };
 pub use propagate::{
-    propagate_origin, propagate_origin_with, propagate_origins, OriginScheduling,
+    propagate_origin, propagate_origin_with, propagate_origins, OriginScheduling, PlaneContext,
     PropagationOptions, RouteClass, RouteInfo, RouteTaint, RoutingOutcome,
 };
 pub use scenario::{PropagationCache, Scenario, ScenarioPool, PROPAGATION_LRU_CAPACITY};

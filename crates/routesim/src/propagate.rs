@@ -31,6 +31,26 @@
 //! partially deployed defensive policies (ROV, ASPA-lite) veto the
 //! tainted candidates — see [`propagate_origin_with`].
 //!
+//! The walk never filters an AS's full adjacency. A batch of origins on
+//! one plane shares a [`PlaneContext`]: the policy engine plus a link view
+//! that holds every AS's annotated neighbours on that plane, grouped as
+//! customers | peers | providers | siblings, each group in
+//! [`AsGraph::neighbors_by_id`] order. Unannotated links are dropped; no
+//! phase follows them. Each phase reads only the groups it follows:
+//!
+//! * Phase 1, the customer climb: providers and siblings;
+//! * Phase 2, the peer export: peers;
+//! * Phase 3, the provider descent: customers;
+//! * the sibling closures after Phases 2 and 3: siblings, with the queue
+//!   seeded only from ASes that have siblings;
+//! * Phase 4 and the scenario's deterministic leak: providers and peers
+//!   (the leak's downhill spread: customers and siblings);
+//! * Phase 5, the relaxation: every group, with the heap seeded only from
+//!   the routed neighbours of unrouted ASes.
+//!
+//! Each of these only skips scans and pops that can never change a route,
+//! so the selected routes are those of the full-adjacency walk.
+//!
 //! Execution is parallel on two levels, both steered by knobs that never
 //! change the selected routes: origins shard across workers
 //! ([`propagate_origins`]), and *within* one origin the Phase 1/3 walks
@@ -342,10 +362,129 @@ fn level_workers(requested: usize, frontier_len: usize) -> usize {
     requested.min(frontier_len / MIN_FRONTIER_PER_WORKER).max(1)
 }
 
+/// The link groups of [`PlaneLinks`], indexed in layout order.
+const CUSTOMERS: usize = 0;
+const PEERS: usize = 1;
+const PROVIDERS: usize = 2;
+const SIBLINGS: usize = 3;
+const GROUP_COUNT: usize = 4;
+
+/// The group of a link whose relationship, oriented `node → neighbour`,
+/// is `rel`.
+fn group_of(rel: Relationship) -> usize {
+    match rel {
+        Relationship::ProviderToCustomer => CUSTOMERS,
+        Relationship::PeerToPeer => PEERS,
+        Relationship::CustomerToProvider => PROVIDERS,
+        Relationship::SiblingToSibling => SIBLINGS,
+    }
+}
+
+/// One plane's annotated links, partitioned by relationship: each node's
+/// neighbours laid out as customers | peers | providers | siblings, every
+/// group a stable partition of [`AsGraph::neighbors_by_id`] order. Links
+/// present on the plane without an annotation are dropped, because no
+/// phase of the walk follows them. The layout puts the mix each phase
+/// follows into one contiguous slice (the route-leak spread's customers +
+/// siblings is the one exception), so a phase reads exactly the links it
+/// can use instead of filtering the node's full adjacency per origin.
+#[derive(Debug)]
+struct PlaneLinks {
+    /// `GROUP_COUNT * node_count + 1` offsets into `targets`: group `g`
+    /// of node `i` is `targets[starts[4 * i + g]..starts[4 * i + g + 1]]`.
+    starts: Vec<u32>,
+    targets: Vec<NodeId>,
+    /// The nodes with at least one sibling, ascending: the only nodes a
+    /// sibling closure can export from.
+    sibling_nodes: Vec<NodeId>,
+}
+
+impl PlaneLinks {
+    fn build(graph: &AsGraph, plane: IpVersion) -> Self {
+        let mut starts = Vec::with_capacity(GROUP_COUNT * graph.node_count() + 1);
+        let mut targets = Vec::new();
+        let mut grouped: [Vec<NodeId>; GROUP_COUNT] = Default::default();
+        starts.push(0);
+        for node in graph.nodes() {
+            for (next, rel) in graph.neighbors_by_id(node, plane) {
+                if let Some(rel) = rel {
+                    grouped[group_of(rel)].push(next);
+                }
+            }
+            for group in &mut grouped {
+                targets.append(group);
+                starts.push(u32::try_from(targets.len()).expect("link count exceeds u32"));
+            }
+        }
+        let mut links = PlaneLinks { starts, targets, sibling_nodes: Vec::new() };
+        links.sibling_nodes =
+            graph.nodes().filter(|&node| !links.siblings(node).is_empty()).collect();
+        links
+    }
+
+    /// Groups `first..=last` of `node`, one slice by the layout.
+    #[inline]
+    fn groups(&self, node: NodeId, first: usize, last: usize) -> &[NodeId] {
+        let base = GROUP_COUNT * node.index();
+        &self.targets[self.starts[base + first] as usize..self.starts[base + last + 1] as usize]
+    }
+
+    fn customers(&self, node: NodeId) -> &[NodeId] {
+        self.groups(node, CUSTOMERS, CUSTOMERS)
+    }
+
+    fn peers(&self, node: NodeId) -> &[NodeId] {
+        self.groups(node, PEERS, PEERS)
+    }
+
+    fn siblings(&self, node: NodeId) -> &[NodeId] {
+        self.groups(node, SIBLINGS, SIBLINGS)
+    }
+
+    /// Providers and siblings: where a customer route climbs.
+    fn uphill(&self, node: NodeId) -> &[NodeId] {
+        self.groups(node, PROVIDERS, SIBLINGS)
+    }
+
+    /// Peers and providers: the exports a leak adds.
+    fn leak_targets(&self, node: NodeId) -> &[NodeId] {
+        self.groups(node, PEERS, PROVIDERS)
+    }
+
+    /// Every annotated neighbour.
+    fn annotated(&self, node: NodeId) -> &[NodeId] {
+        self.groups(node, CUSTOMERS, SIBLINGS)
+    }
+}
+
+/// What every origin propagated on one plane shares, read-only: the
+/// graph, the scenario's [`PolicyEngine`] and the plane's links
+/// partitioned by relationship. [`propagate_origins`] builds one per
+/// batch and shares it across its workers; callers that propagate
+/// origins one at a time build it once and pass it to
+/// [`propagate_origin_with`].
+#[derive(Debug)]
+pub struct PlaneContext<'g> {
+    graph: &'g AsGraph,
+    plane: IpVersion,
+    engine: PolicyEngine,
+    links: PlaneLinks,
+}
+
+impl<'g> PlaneContext<'g> {
+    /// The context of `plane` on `graph` under `engine`, which must match
+    /// the `scenario` and `deployment` of the options the origins are
+    /// propagated with ([`propagate_origin`] and [`propagate_origins`]
+    /// guarantee this).
+    pub fn new(graph: &'g AsGraph, plane: IpVersion, engine: PolicyEngine) -> Self {
+        PlaneContext { graph, plane, engine, links: PlaneLinks::build(graph, plane) }
+    }
+}
+
 /// Propagate one origin's prefix over one plane, building the scenario's
-/// [`PolicyEngine`] from the options. Batch callers should build the
-/// engine once and use [`propagate_origin_with`] instead —
-/// [`propagate_origins`] does.
+/// [`PolicyEngine`] and the plane's [`PlaneContext`] from the options.
+/// Batch callers should build the context once and use
+/// [`propagate_origin_with`] instead — [`propagate_origins`] does.
 pub fn propagate_origin(
     graph: &AsGraph,
     origin: Asn,
@@ -353,12 +492,11 @@ pub fn propagate_origin(
     options: &PropagationOptions,
 ) -> RoutingOutcome {
     let engine = PolicyEngine::build(graph, options.scenario, options.deployment);
-    propagate_origin_with(graph, origin, plane, options, &engine)
+    propagate_origin_with(&PlaneContext::new(graph, plane, engine), origin, options)
 }
 
-/// Propagate one origin's prefix over one plane under a prebuilt
-/// [`PolicyEngine`] (which must match `options.scenario` /
-/// `options.deployment` — [`propagate_origin`] guarantees this).
+/// Propagate one origin's prefix over the plane of a prebuilt
+/// [`PlaneContext`].
 ///
 /// The scenario decides the seeding:
 ///
@@ -371,12 +509,11 @@ pub fn propagate_origin(
 ///   separately, then merges with the attacker winning wherever its
 ///   more-specific announcement was heard (longest-prefix match).
 pub fn propagate_origin_with(
-    graph: &AsGraph,
+    context: &PlaneContext<'_>,
     origin: Asn,
-    plane: IpVersion,
     options: &PropagationOptions,
-    engine: &PolicyEngine,
 ) -> RoutingOutcome {
+    let PlaneContext { graph, plane, ref engine, .. } = *context;
     let n = graph.node_count();
     let Some(origin_node) = graph.node(origin) else {
         return RoutingOutcome { origin, plane, routes: vec![None; n] };
@@ -398,17 +535,9 @@ pub fn propagate_origin_with(
     };
     let routes = match (engine.scenario(), attacker) {
         (PolicyScenario::SubprefixHijack, Some(attacker)) => {
-            let attacker_routes = run_walk(
-                graph,
-                origin,
-                plane,
-                options,
-                engine,
-                &[(attacker, hijacked)],
-                Some(origin_node),
-            );
-            let victim_routes =
-                run_walk(graph, origin, plane, options, engine, &[(origin_node, clean)], None);
+            let attacker_routes =
+                run_walk(context, origin, options, &[(attacker, hijacked)], Some(origin_node));
+            let victim_routes = run_walk(context, origin, options, &[(origin_node, clean)], None);
             attacker_routes
                 .iter()
                 .zip(victim_routes.iter())
@@ -416,16 +545,10 @@ pub fn propagate_origin_with(
                 .map(|(i, (atk, vic))| if i == origin_node.index() { *vic } else { atk.or(*vic) })
                 .collect()
         }
-        (PolicyScenario::PrefixHijack, Some(attacker)) => run_walk(
-            graph,
-            origin,
-            plane,
-            options,
-            engine,
-            &[(origin_node, clean), (attacker, hijacked)],
-            None,
-        ),
-        _ => run_walk(graph, origin, plane, options, engine, &[(origin_node, clean)], None),
+        (PolicyScenario::PrefixHijack, Some(attacker)) => {
+            run_walk(context, origin, options, &[(origin_node, clean), (attacker, hijacked)], None)
+        }
+        _ => run_walk(context, origin, options, &[(origin_node, clean)], None),
     };
     RoutingOutcome { origin, plane, routes }
 }
@@ -433,18 +556,18 @@ pub fn propagate_origin_with(
 /// The five-phase walk from `seeds`, with every adoption gated by the
 /// engine's per-AS policy and `blocked` never installing anything
 /// (neither a route nor an export — its prefix knowledge is handled by
-/// the caller). Deterministic at every worker count: the per-target
-/// merges are order-independent minima and every candidate batch is
-/// sorted before it is applied.
+/// the caller). Every phase reads only the link groups it follows.
+/// Deterministic at every worker count: the per-target merges are
+/// order-independent minima and every candidate batch is sorted before it
+/// is applied.
 fn run_walk(
-    graph: &AsGraph,
+    context: &PlaneContext<'_>,
     origin: Asn,
-    plane: IpVersion,
     options: &PropagationOptions,
-    engine: &PolicyEngine,
     seeds: &[(NodeId, RouteTaint)],
     blocked: Option<NodeId>,
 ) -> Vec<Option<RouteInfo>> {
+    let PlaneContext { graph, ref engine, ref links, .. } = *context;
     let n = graph.node_count();
     let mut routes: Vec<Option<RouteInfo>> = vec![None; n];
     for &(seed, taint) in seeds {
@@ -470,23 +593,15 @@ fn run_walk(
         let mut next_len: u32 = 0;
         while !frontier.is_empty() {
             next_len += 1;
-            // The route moves node -> next. `next` learns it from `node`.
-            // next sees node as a customer when rel(next -> node) = p2c,
-            // i.e. rel(node -> next) = c2p. Sibling links always carry it.
+            // The route moves node -> next: `next` learns it from `node`,
+            // its customer or sibling.
             let candidates: Vec<(NodeId, NodeId)> =
                 shard_frontier(&frontier, level_workers(workers, frontier.len()), |&node, out| {
-                    for (next, rel) in graph.neighbors_by_id(node, plane) {
-                        let climbs = rel == Some(Relationship::CustomerToProvider)
-                            || rel == Some(Relationship::SiblingToSibling);
-                        if climbs {
-                            out.push((next, node));
-                        }
-                    }
+                    out.extend(links.uphill(node).iter().map(|&next| (next, node)));
                 });
             // Deterministic merge: `better(..)` is a strict total order on
             // (path_len, next-hop ASN), so the per-target winner does not
-            // depend on candidate order, which itself is frontier order at
-            // every worker count.
+            // depend on candidate order.
             for (target, sender) in candidates {
                 let cand = RouteInfo {
                     class: RouteClass::Customer,
@@ -517,30 +632,23 @@ fn run_walk(
     {
         let exporters: Vec<NodeId> = (0..n as u32)
             .map(NodeId)
-            .filter(|id| {
+            .filter(|&id| {
                 matches!(
                     routes[id.index()].map(|r| r.class),
                     Some(RouteClass::Origin) | Some(RouteClass::Customer)
-                )
+                ) && !links.peers(id).is_empty()
             })
             .collect();
         let mut peer_candidates: Vec<(NodeId, RouteInfo)> =
             shard_frontier(&exporters, level_workers(workers, exporters.len()), |&node, out| {
                 let info = routes[node.index()].expect("exporters are routed");
-                for (next, rel) in graph.neighbors_by_id(node, plane) {
-                    if rel != Some(Relationship::PeerToPeer) {
-                        continue;
-                    }
-                    out.push((
-                        next,
-                        RouteInfo {
-                            class: RouteClass::Peer,
-                            path_len: info.path_len + 1,
-                            next_hop: node,
-                            taint: info.taint,
-                        },
-                    ));
-                }
+                let cand = RouteInfo {
+                    class: RouteClass::Peer,
+                    path_len: info.path_len + 1,
+                    next_hop: node,
+                    taint: info.taint,
+                };
+                out.extend(links.peers(node).iter().map(|&next| (next, cand)));
             });
         // Deterministic order: by target node, then candidate quality.
         peer_candidates
@@ -551,21 +659,24 @@ fn run_walk(
             }
         }
         // Sibling closure for peer routes.
-        sibling_closure(graph, plane, &mut routes, RouteClass::Peer, engine, blocked);
+        sibling_closure(context, &mut routes, RouteClass::Peer, blocked);
     }
 
     // ---- Phase 3: provider routes ------------------------------------------
     // Any routed node exports its best route to its customers; customers
     // that still lack a better route take it, and pass it on downhill.
     // Same level-synchronous scheme as Phase 1, with multiple sources at
-    // different levels: every routed node exports once, at its route's
-    // path length, and a customer accepting a provider route at level
-    // d+1 exports at level d+1. Same-level improvements only change the
-    // next hop (never the level), so each node is scheduled exactly once
-    // and the levels can be processed strictly in order.
+    // different levels: every routed node with customers exports once, at
+    // its route's path length, and a customer accepting a provider route
+    // at level d+1 exports at level d+1. Same-level improvements only
+    // change the next hop (never the level), so each node is scheduled
+    // exactly once and the levels can be processed strictly in order.
     {
         let mut buckets: Vec<NodeBitSet> = Vec::new();
         let schedule = |buckets: &mut Vec<NodeBitSet>, level: usize, node: NodeId| {
+            if links.customers(node).is_empty() {
+                return;
+            }
             if buckets.len() <= level {
                 buckets.resize_with(level + 1, || NodeBitSet::new(n));
             }
@@ -584,16 +695,12 @@ fn run_walk(
             if frontier.is_empty() {
                 continue;
             }
-            // node -> next is p2c: next is node's customer, so next
-            // learns the route from its provider. Sibling links also
-            // carry it (class preserved, handled by the closure below).
+            // `next` is node's customer and learns the route from its
+            // provider. Sibling links also carry it (class preserved,
+            // handled by the closure below).
             let candidates: Vec<(NodeId, NodeId)> =
                 shard_frontier(&frontier, level_workers(workers, frontier.len()), |&node, out| {
-                    for (next, rel) in graph.neighbors_by_id(node, plane) {
-                        if rel == Some(Relationship::ProviderToCustomer) {
-                            out.push((next, node));
-                        }
-                    }
+                    out.extend(links.customers(node).iter().map(|&next| (next, node)));
                 });
             let next_len = level as u32;
             for (target, sender) in candidates {
@@ -613,7 +720,7 @@ fn run_walk(
                 }
             }
         }
-        sibling_closure(graph, plane, &mut routes, RouteClass::Provider, engine, blocked);
+        sibling_closure(context, &mut routes, RouteClass::Provider, blocked);
     }
 
     // ---- Scenario: deterministic route leak -------------------------------------
@@ -623,19 +730,11 @@ fn run_walk(
     // probabilistic deviations so the seeded Phase 4/5 draws observe the
     // post-leak state exactly like any other route.
     if engine.scenario() == PolicyScenario::RouteLeak {
-        if let Some(leaker) = engine.leaker(plane) {
+        if let Some(leaker) = engine.leaker(context.plane) {
             if Some(leaker) != blocked {
                 if let Some(info) = routes[leaker.index()] {
                     if matches!(info.class, RouteClass::Peer | RouteClass::Provider) {
-                        deterministic_leak(
-                            graph,
-                            plane,
-                            &mut routes,
-                            leaker,
-                            info,
-                            engine,
-                            blocked,
-                        );
+                        deterministic_leak(context, &mut routes, leaker, info, blocked);
                     }
                 }
             }
@@ -647,13 +746,14 @@ fn run_walk(
         let mut rng = ChaCha8Rng::seed_from_u64(
             options.seed ^ (u64::from(origin.value()) << 20) ^ 0x6c65616b,
         );
-        // Decide leaks against the pre-leak state so adoption cannot cycle.
-        let snapshot = routes.clone();
+        // Decide leaks against the pre-leak state so adoption cannot
+        // cycle: this loop only reads `routes`, every adoption waits in
+        // `adoptions` until the decisions are done.
         let mut adoptions: Vec<(NodeId, RouteInfo)> = Vec::new();
         let mut leakers: Vec<bool> = vec![false; n];
         for id in 0..n as u32 {
             let node = NodeId(id);
-            let Some(info) = snapshot[node.index()] else { continue };
+            let Some(info) = routes[node.index()] else { continue };
             if !matches!(info.class, RouteClass::Peer | RouteClass::Provider) {
                 continue;
             }
@@ -661,22 +761,15 @@ fn run_walk(
                 continue;
             }
             leakers[node.index()] = true;
-            for (next, rel) in graph.neighbors_by_id(node, plane) {
-                // Forbidden exports: to providers and peers.
-                let forbidden = matches!(
-                    rel,
-                    Some(Relationship::CustomerToProvider) | Some(Relationship::PeerToPeer)
-                );
-                if !forbidden {
-                    continue;
-                }
-                let cand = RouteInfo {
-                    class: RouteClass::Leaked,
-                    path_len: info.path_len + 1,
-                    next_hop: node,
-                    taint: RouteTaint { hijacked: info.taint.hijacked, leaked: true },
-                };
-                let adopt = match snapshot[next.index()] {
+            let cand = RouteInfo {
+                class: RouteClass::Leaked,
+                path_len: info.path_len + 1,
+                next_hop: node,
+                taint: RouteTaint { hijacked: info.taint.hijacked, leaked: true },
+            };
+            // Forbidden exports: to providers and peers.
+            for &next in links.leak_targets(node) {
+                let adopt = match routes[next.index()] {
                     None => true,
                     // The receiver believes it is a customer/peer route, so
                     // it may replace a provider-learned route.
@@ -693,7 +786,7 @@ fn run_walk(
             .sort_by_key(|(next, cand)| (next.0, cand.path_len, graph.asn(cand.next_hop).value()));
         for (next, cand) in adoptions {
             // Never replace the route of a node that is itself leaking (its
-            // exported route was computed from the snapshot).
+            // exported route was decided on the pre-leak state).
             if leakers[next.index()] || !admit(next, &cand) {
                 continue;
             }
@@ -710,23 +803,34 @@ fn run_walk(
     }
 
     // ---- Phase 5: reachability relaxation ---------------------------------------
+    // Holes are filled in (path_len, next-hop ASN, node) order from the
+    // heap. Routes only ever appear, so a routed node without an unrouted
+    // neighbour here never gains one: only the routed neighbours of
+    // unrouted nodes are seeded.
     if options.reachability_relaxation {
-        let mut heap: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
-        for id in 0..n as u32 {
-            if let Some(info) = routes[id as usize] {
-                heap.push(Reverse(Candidate { path_len: info.path_len, tie_break: 0, node: id }));
+        let mut sources = NodeBitSet::new(n);
+        for id in (0..n as u32).map(NodeId).filter(|id| routes[id.index()].is_none()) {
+            for &next in links.annotated(id) {
+                if routes[next.index()].is_some() {
+                    sources.insert(next);
+                }
             }
         }
-        while let Some(Reverse(Candidate { path_len, node, .. })) = heap.pop() {
+        let mut seeded: Vec<NodeId> = Vec::new();
+        sources.drain_into(&mut seeded);
+        let mut heap: BinaryHeap<Reverse<Candidate>> = seeded
+            .into_iter()
+            .map(|id| {
+                let path_len = routes[id.index()].expect("seeds are routed").path_len;
+                Reverse(Candidate { path_len, tie_break: 0, node: id.0 })
+            })
+            .collect();
+        while let Some(Reverse(Candidate { node, .. })) = heap.pop() {
             let node = NodeId(node);
-            let Some(current) = routes[node.index()] else { continue };
-            if current.path_len < path_len {
-                continue;
-            }
-            for (next, rel) in graph.neighbors_by_id(node, plane) {
-                if rel.is_none() {
-                    continue;
-                }
+            // Each node enters the heap once, and a route never changes
+            // in this phase: the popped entry is always current.
+            let current = routes[node.index()].expect("heap nodes are routed");
+            for &next in links.annotated(node) {
                 if routes[next.index()].is_some() {
                     continue; // relaxation only fills holes
                 }
@@ -764,38 +868,27 @@ fn run_walk(
 /// `(target, path_len, next-hop ASN)` before it is applied, and there is
 /// no RNG anywhere.
 fn deterministic_leak(
-    graph: &AsGraph,
-    plane: IpVersion,
+    context: &PlaneContext<'_>,
     routes: &mut [Option<RouteInfo>],
     leaker: NodeId,
     info: RouteInfo,
-    engine: &PolicyEngine,
     blocked: Option<NodeId>,
 ) {
+    let PlaneContext { graph, ref engine, ref links, .. } = *context;
     let leak_adopt = |current: &Option<RouteInfo>, cand: &RouteInfo| match current {
         None => true,
         Some(existing) => {
             existing.class == RouteClass::Provider && cand.path_len < existing.path_len
         }
     };
-    let taint = RouteTaint { hijacked: info.taint.hijacked, leaked: true };
-    let mut candidates: Vec<(NodeId, RouteInfo)> = graph
-        .neighbors_by_id(leaker, plane)
-        .filter(|(_, rel)| {
-            matches!(rel, Some(Relationship::CustomerToProvider) | Some(Relationship::PeerToPeer))
-        })
-        .map(|(next, _)| {
-            (
-                next,
-                RouteInfo {
-                    class: RouteClass::Leaked,
-                    path_len: info.path_len + 1,
-                    next_hop: leaker,
-                    taint,
-                },
-            )
-        })
-        .collect();
+    let leaked = RouteInfo {
+        class: RouteClass::Leaked,
+        path_len: info.path_len + 1,
+        next_hop: leaker,
+        taint: RouteTaint { hijacked: info.taint.hijacked, leaked: true },
+    };
+    let mut candidates: Vec<(NodeId, RouteInfo)> =
+        links.leak_targets(leaker).iter().map(|&next| (next, leaked)).collect();
     let mut frontier: Vec<NodeId> = Vec::new();
     while !candidates.is_empty() {
         candidates
@@ -814,28 +907,17 @@ fn deterministic_leak(
                 routes[next.index()] = Some(cand);
             }
         }
-        let mut next_candidates: Vec<(NodeId, RouteInfo)> = Vec::new();
         for &node in &frontier {
             let Some(adopted) = routes[node.index()] else { continue };
-            for (next, rel) in graph.neighbors_by_id(node, plane) {
-                let carries = matches!(
-                    rel,
-                    Some(Relationship::ProviderToCustomer) | Some(Relationship::SiblingToSibling)
-                );
-                if carries {
-                    next_candidates.push((
-                        next,
-                        RouteInfo {
-                            class: RouteClass::Leaked,
-                            path_len: adopted.path_len + 1,
-                            next_hop: node,
-                            taint: adopted.taint,
-                        },
-                    ));
-                }
-            }
+            let cand = RouteInfo {
+                class: RouteClass::Leaked,
+                path_len: adopted.path_len + 1,
+                next_hop: node,
+                taint: adopted.taint,
+            };
+            let downhill = links.customers(node).iter().chain(links.siblings(node));
+            candidates.extend(downhill.map(|&next| (next, cand)));
         }
-        candidates = next_candidates;
     }
 }
 
@@ -868,20 +950,22 @@ pub fn propagate_origins(
     concurrency: usize,
 ) -> Vec<RoutingOutcome> {
     let workers = crate::shard::effective_concurrency(concurrency);
-    // One engine for the whole batch: the policy assignment and the
-    // attacker/leaker picks depend only on (graph, scenario, deployment),
-    // never on the origin, and sharing the read-only engine across the
-    // workers keeps the per-origin rounds pure.
+    // One context for the whole batch: the policy assignment, the
+    // attacker/leaker picks and the partitioned links depend only on
+    // (graph, plane, scenario, deployment), never on the origin, and
+    // sharing the read-only context across the workers keeps the
+    // per-origin rounds pure.
     let engine = PolicyEngine::build(graph, options.scenario, options.deployment);
+    let context = PlaneContext::new(graph, plane, engine);
     match options.scheduling {
         OriginScheduling::Degree => crate::shard::shard_map_lpt(
             origins,
             workers,
             |&origin| graph.degree(origin, plane) as u64,
-            |&origin| propagate_origin_with(graph, origin, plane, options, &engine),
+            |&origin| propagate_origin_with(&context, origin, options),
         ),
         OriginScheduling::Static => crate::shard::shard_map(origins, workers, |&origin| {
-            propagate_origin_with(graph, origin, plane, options, &engine)
+            propagate_origin_with(&context, origin, options)
         }),
     }
 }
@@ -913,25 +997,24 @@ fn better(
 
 /// Propagate routes of the given class across sibling links (transparent
 /// forwarding within an organisation), observing the per-AS policies and
-/// the walk's blocked node like every other adoption point.
+/// the walk's blocked node like every other adoption point. Only nodes
+/// with siblings can export, so only they seed the queue.
 fn sibling_closure(
-    graph: &AsGraph,
-    plane: IpVersion,
+    context: &PlaneContext<'_>,
     routes: &mut [Option<RouteInfo>],
     class: RouteClass,
-    engine: &PolicyEngine,
     blocked: Option<NodeId>,
 ) {
-    let mut queue: Vec<NodeId> = (0..routes.len() as u32)
-        .map(NodeId)
+    let PlaneContext { graph, ref engine, ref links, .. } = *context;
+    let mut queue: Vec<NodeId> = links
+        .sibling_nodes
+        .iter()
+        .copied()
         .filter(|id| routes[id.index()].map(|r| r.class) == Some(class))
         .collect();
     while let Some(node) = queue.pop() {
         let Some(info) = routes[node.index()] else { continue };
-        for (next, rel) in graph.neighbors_by_id(node, plane) {
-            if rel != Some(Relationship::SiblingToSibling) {
-                continue;
-            }
+        for &next in links.siblings(node) {
             let cand =
                 RouteInfo { class, path_len: info.path_len + 1, next_hop: node, taint: info.taint };
             if Some(next) == blocked || !engine.accepts(next, &cand) {
@@ -1424,6 +1507,81 @@ mod tests {
         for (i, route) in classic.routes.iter().enumerate() {
             if route.is_some() {
                 assert!(outcome.routes[i].is_some(), "node {i} lost its route to the hijack");
+            }
+        }
+    }
+
+    /// FNV-1a over every field of every route of `outcomes`, in order: a
+    /// digest that is stable across toolchains (unlike `DefaultHasher`).
+    fn outcome_digest(outcomes: &[RoutingOutcome]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for byte in x.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for outcome in outcomes {
+            eat(u64::from(outcome.origin.value()));
+            eat(outcome.plane as u64);
+            for route in &outcome.routes {
+                match route {
+                    None => eat(u64::MAX),
+                    Some(r) => {
+                        eat(r.class as u64);
+                        eat(u64::from(r.path_len));
+                        eat(u64::from(r.next_hop.0));
+                        eat(u64::from(r.taint.hijacked) | u64::from(r.taint.leaked) << 1);
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn propagation_bytes_are_pinned_on_a_generated_topology() {
+        // A generated two-plane topology with extra siblings, plus links
+        // that are observed but never annotated (which no phase may
+        // follow), propagated from every origin on both planes with
+        // relaxation and leaks on under every scenario. The digests were
+        // recorded on a walk that filtered each AS's full adjacency, so
+        // they pin the link view's routes to that walk's; any change to
+        // a selected route, in any phase, changes them.
+        let mut graph = topogen::generate(&topogen::TopologyConfig {
+            sibling_fraction: 0.05,
+            ..topogen::TopologyConfig::small()
+        })
+        .graph;
+        let asns: Vec<Asn> = {
+            let mut asns: Vec<Asn> = graph.asns().collect();
+            asns.sort();
+            asns
+        };
+        for (i, pair) in asns.windows(2).enumerate().step_by(7) {
+            let plane = if i % 2 == 0 { IpVersion::V4 } else { IpVersion::V6 };
+            if graph.edge_id(pair[0], pair[1]).is_none() {
+                graph.observe_link(pair[0], pair[1], plane);
+            }
+        }
+        graph.freeze();
+        let expected: [(PolicyScenario, [u64; 2]); 4] = [
+            (PolicyScenario::Classic, [0x7395_4896_ef5b_3850, 0xfb7e_2d06_934d_36c5]),
+            (PolicyScenario::RouteLeak, [0x97fe_5ae8_414b_5c30, 0xd353_079f_ead2_6612]),
+            (PolicyScenario::PrefixHijack, [0xcf13_d44a_0e1f_6486, 0xbbab_b242_bcda_84ce]),
+            (PolicyScenario::SubprefixHijack, [0x0723_ffa8_dcb4_0b9e, 0x77de_0f92_439d_5bad]),
+        ];
+        for (scenario, digests) in expected {
+            for (plane, want) in IpVersion::BOTH.into_iter().zip(digests) {
+                let options = PropagationOptions {
+                    reachability_relaxation: true,
+                    leak_probability: 0.05,
+                    seed: 0x5eed,
+                    ..scenario_options(scenario, 0.3)
+                };
+                let origins: Vec<Asn> =
+                    asns.iter().copied().filter(|&a| graph.degree(a, plane) > 0).collect();
+                let got = outcome_digest(&propagate_origins(&graph, &origins, plane, &options, 2));
+                assert_eq!(got, want, "scenario={scenario:?} plane={plane:?}");
             }
         }
     }

@@ -27,6 +27,66 @@ fn arb_relationship() -> impl Strategy<Value = Relationship> {
     ]
 }
 
+/// How a random link appears on one plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OnPlane {
+    /// Not carried on the plane.
+    Absent,
+    /// Observed on the plane but never annotated (`observe_link`).
+    Observed,
+    /// Observed and annotated with the link's relationship.
+    Annotated,
+}
+
+fn arb_on_plane() -> impl Strategy<Value = OnPlane> {
+    // Annotated links stay the majority, so the walks have a hierarchy
+    // to follow.
+    prop_oneof![
+        Just(OnPlane::Absent),
+        Just(OnPlane::Observed),
+        Just(OnPlane::Annotated),
+        Just(OnPlane::Annotated),
+    ]
+}
+
+/// A random link: its endpoints, its relationship (oriented `a → b`) and
+/// how it appears on the v4 and v6 planes.
+type RandomLink = (u32, u32, Relationship, OnPlane, OnPlane);
+
+fn arb_links() -> impl Strategy<Value = Vec<RandomLink>> {
+    prop::collection::vec(
+        (1u32..40, 1u32..40, arb_relationship(), arb_on_plane(), arb_on_plane()),
+        1..60,
+    )
+}
+
+/// The graph of `links`: links present on one plane only, links observed
+/// but unannotated, and annotated links side by side. With `only` set,
+/// just that plane's annotated links are applied; every other link is
+/// still created, absent from both planes, so node ids match the full
+/// graph's.
+fn mixed_plane_graph(links: &[RandomLink], only: Option<IpVersion>) -> AsGraph {
+    let mut graph = AsGraph::new();
+    for &(a, b, rel, v4, v6) in links {
+        let (a, b) = (Asn(a), Asn(b));
+        if graph.add_link(a, b).is_none() {
+            continue;
+        }
+        for (plane, on) in [(IpVersion::V4, v4), (IpVersion::V6, v6)] {
+            match on {
+                OnPlane::Annotated if only.is_none_or(|kept| kept == plane) => {
+                    graph.annotate(a, b, plane, rel);
+                }
+                OnPlane::Observed if only.is_none() => {
+                    graph.observe_link(a, b, plane);
+                }
+                _ => {}
+            }
+        }
+    }
+    graph
+}
+
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     prop_oneof![
         (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| {
@@ -288,17 +348,12 @@ proptest! {
 
     #[test]
     fn parallel_propagation_matches_sequential_on_random_graphs(
-        links in prop::collection::vec((1u32..40, 1u32..40, arb_relationship()), 1..60),
+        links in arb_links(),
         relaxation in any::<bool>(),
         leak_tenths in 0u8..=10,
         seed in any::<u64>(),
     ) {
-        let mut graph = AsGraph::new();
-        for (a, b, rel) in &links {
-            if a != b {
-                graph.annotate(Asn(*a), Asn(*b), IpVersion::V6, *rel);
-            }
-        }
+        let graph = mixed_plane_graph(&links, None);
         let mut origins: Vec<Asn> = graph.asns().collect();
         origins.sort();
         let options = PropagationOptions {
@@ -307,26 +362,23 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let sequential = propagate_origins(&graph, &origins, IpVersion::V6, &options, 1);
-        for threads in [2usize, 4] {
-            let parallel = propagate_origins(&graph, &origins, IpVersion::V6, &options, threads);
-            prop_assert_eq!(&parallel, &sequential, "threads={}", threads);
+        for plane in IpVersion::BOTH {
+            let sequential = propagate_origins(&graph, &origins, plane, &options, 1);
+            for threads in [2usize, 4] {
+                let parallel = propagate_origins(&graph, &origins, plane, &options, threads);
+                prop_assert_eq!(&parallel, &sequential, "plane={:?} threads={}", plane, threads);
+            }
         }
     }
 
     #[test]
     fn frontier_parallel_propagation_matches_sequential_on_random_graphs(
-        links in prop::collection::vec((1u32..40, 1u32..40, arb_relationship()), 1..60),
+        links in arb_links(),
         relaxation in any::<bool>(),
         leak_tenths in 0u8..=10,
         seed in any::<u64>(),
     ) {
-        let mut graph = AsGraph::new();
-        for (a, b, rel) in &links {
-            if a != b {
-                graph.annotate(Asn(*a), Asn(*b), IpVersion::V6, *rel);
-            }
-        }
+        let graph = mixed_plane_graph(&links, None);
         let mut origins: Vec<Asn> = graph.asns().collect();
         origins.sort();
         let options = PropagationOptions {
@@ -335,45 +387,78 @@ proptest! {
             seed,
             ..Default::default()
         };
-        // The reference: the fully sequential walk (one origin worker,
-        // sequential level scans).
-        let sequential = propagate_origins(&graph, &origins, IpVersion::V6, &options, 1);
-        for frontier in [2usize, 4] {
-            for threads in [1usize, 2] {
-                let parallel = propagate_origins(
-                    &graph,
-                    &origins,
-                    IpVersion::V6,
-                    &options.with_frontier(frontier),
-                    threads,
-                );
-                prop_assert_eq!(
-                    &parallel,
-                    &sequential,
-                    "frontier={} threads={}",
-                    frontier,
-                    threads
-                );
+        for plane in IpVersion::BOTH {
+            // The reference: the fully sequential walk (one origin worker,
+            // sequential level scans).
+            let sequential = propagate_origins(&graph, &origins, plane, &options, 1);
+            for frontier in [2usize, 4] {
+                for threads in [1usize, 2] {
+                    let parallel = propagate_origins(
+                        &graph,
+                        &origins,
+                        plane,
+                        &options.with_frontier(frontier),
+                        threads,
+                    );
+                    prop_assert_eq!(
+                        &parallel,
+                        &sequential,
+                        "plane={:?} frontier={} threads={}",
+                        plane,
+                        frontier,
+                        threads
+                    );
+                }
             }
         }
     }
 
     #[test]
+    fn propagation_follows_only_the_annotated_links_of_its_plane(
+        links in arb_links(),
+        relaxation in any::<bool>(),
+        leak_tenths in 0u8..=10,
+        seed in any::<u64>(),
+    ) {
+        // Each plane's walk reads that plane's annotated links and nothing
+        // else: on the two-plane graph it selects exactly the routes it
+        // selects on a graph that holds only those links. The reference
+        // keeps every other link as an edge absent from both planes, so
+        // node ids, and with them the outcomes, are directly comparable.
+        // Origins whose links on the plane are all unannotated are absent
+        // from the reference's plane and left out.
+        let graph = mixed_plane_graph(&links, None);
+        let options = PropagationOptions {
+            reachability_relaxation: relaxation,
+            leak_probability: f64::from(leak_tenths) / 10.0,
+            seed,
+            ..Default::default()
+        };
+        for plane in IpVersion::BOTH {
+            let reference = mixed_plane_graph(&links, Some(plane));
+            let mut origins: Vec<Asn> =
+                reference.asns().filter(|&a| reference.degree(a, plane) > 0).collect();
+            origins.sort();
+            prop_assert_eq!(
+                propagate_origins(&graph, &origins, plane, &options, 1),
+                propagate_origins(&reference, &origins, plane, &options, 1),
+                "plane={:?}",
+                plane
+            );
+        }
+    }
+
+    #[test]
     fn classic_policy_dispatch_is_invisible_on_random_graphs(
-        links in prop::collection::vec((1u32..40, 1u32..40, arb_relationship()), 1..60),
+        links in arb_links(),
         relaxation in any::<bool>(),
         leak_tenths in 0u8..=10,
         deployment_tenths in 0u8..=10,
         seed in any::<u64>(),
     ) {
-        use hybrid_as_rel::sim::propagate::propagate_origin_with;
+        use hybrid_as_rel::sim::propagate::{propagate_origin_with, PlaneContext};
         use hybrid_as_rel::sim::{PolicyDeployment, PolicyEngine};
-        let mut graph = AsGraph::new();
-        for (a, b, rel) in &links {
-            if a != b {
-                graph.annotate(Asn(*a), Asn(*b), IpVersion::V6, *rel);
-            }
-        }
+        let graph = mixed_plane_graph(&links, None);
         let mut origins: Vec<Asn> = graph.asns().collect();
         origins.sort();
         // Under the classic (default) scenario the per-AS policy dispatch
@@ -391,30 +476,25 @@ proptest! {
             },
             ..Default::default()
         };
-        let classic = PolicyEngine::classic();
-        for &origin in &origins {
-            let dispatched = hybrid_as_rel::sim::propagate_origin(
-                &graph, origin, IpVersion::V6, &options,
-            );
-            let reference =
-                propagate_origin_with(&graph, origin, IpVersion::V6, &options, &classic);
-            prop_assert_eq!(&dispatched, &reference, "origin={}", origin);
+        for plane in IpVersion::BOTH {
+            let classic = PlaneContext::new(&graph, plane, PolicyEngine::classic());
+            for &origin in &origins {
+                let dispatched =
+                    hybrid_as_rel::sim::propagate_origin(&graph, origin, plane, &options);
+                let reference = propagate_origin_with(&classic, origin, &options);
+                prop_assert_eq!(&dispatched, &reference, "plane={:?} origin={}", plane, origin);
+            }
         }
     }
 
     #[test]
     fn csr_backend_matches_the_map_backend_on_random_graphs(
-        links in prop::collection::vec((1u32..40, 1u32..40, arb_relationship()), 1..60),
+        links in arb_links(),
         relaxation in any::<bool>(),
         leak_tenths in 0u8..=10,
         seed in any::<u64>(),
     ) {
-        let mut graph = AsGraph::new();
-        for (a, b, rel) in &links {
-            if a != b {
-                graph.annotate(Asn(*a), Asn(*b), IpVersion::V6, *rel);
-            }
-        }
+        let graph = mixed_plane_graph(&links, None);
         let mut origins: Vec<Asn> = graph.asns().collect();
         origins.sort();
         let options = PropagationOptions {
@@ -427,21 +507,28 @@ proptest! {
         // born with. The frozen CSR arrays must serve the exact same
         // neighbor sequences, so propagation and the valley-free walks
         // are equal — not just equivalent — on arbitrary graphs.
-        let map_outcomes = propagate_origins(&graph, &origins, IpVersion::V6, &options, 1);
         let mut frozen = graph.clone();
         frozen.freeze();
         prop_assert!(frozen.is_frozen());
-        for threads in [1usize, 2] {
-            let csr_outcomes =
-                propagate_origins(&frozen, &origins, IpVersion::V6, &options, threads);
-            prop_assert_eq!(&csr_outcomes, &map_outcomes, "threads={}", threads);
-        }
-        if let Some(root) = origins.first().copied() {
-            use hybrid_as_rel::graph::valley::valley_free_distances;
-            prop_assert_eq!(
-                valley_free_distances(&frozen, root, IpVersion::V6),
-                valley_free_distances(&graph, root, IpVersion::V6)
-            );
+        for plane in IpVersion::BOTH {
+            let map_outcomes = propagate_origins(&graph, &origins, plane, &options, 1);
+            for threads in [1usize, 2] {
+                let csr_outcomes = propagate_origins(&frozen, &origins, plane, &options, threads);
+                prop_assert_eq!(
+                    &csr_outcomes,
+                    &map_outcomes,
+                    "plane={:?} threads={}",
+                    plane,
+                    threads
+                );
+            }
+            if let Some(root) = origins.first().copied() {
+                use hybrid_as_rel::graph::valley::valley_free_distances;
+                prop_assert_eq!(
+                    valley_free_distances(&frozen, root, plane),
+                    valley_free_distances(&graph, root, plane)
+                );
+            }
         }
     }
 
