@@ -1,6 +1,7 @@
-//! Component-level performance benchmarks (P1 in DESIGN.md): the MRT
-//! codec, the topology generator, the route propagation, and the
-//! valley-free graph traversals. These are throughput benchmarks for the
+//! Component-level performance benchmarks (the README's "Concurrency &
+//! determinism" section lists the groups): the MRT codec, the topology
+//! generator, the route propagation, and the valley-free graph
+//! traversals. These are throughput benchmarks for the
 //! substrates rather than reproductions of paper artifacts.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -11,7 +11,7 @@
 //!
 //! The measured quantity is wall-clock time of the analysis itself; the
 //! headline *numbers* of each experiment are printed by the corresponding
-//! `exp_*` binary (see DESIGN.md §4 and EXPERIMENTS.md).
+//! `exp_*` binary (listed in the README's Quickstart).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

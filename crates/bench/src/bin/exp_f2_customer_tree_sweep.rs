@@ -23,7 +23,7 @@ fn main() {
         knobs.threads(),
         if knobs.incremental { "on" } else { "off" }
     );
-    let report = bench::run_measurement_with_impact(&scenario, 20, source_cap);
+    let (report, stats) = bench::run_measurement_with_impact(&scenario, 20, source_cap);
     let curve = report.impact.expect("impact sweep requested");
     let mut rows = Vec::new();
     for step in &curve.steps {
@@ -48,7 +48,7 @@ fn main() {
             b.avg_path_length, f.avg_path_length, b.diameter, f.diameter
         );
     }
-    if let Some(stats) = &report.sweep_stats {
-        println!("sweep execution: {stats}");
-    }
+    // Execution counters describe how the sweep ran, not what it
+    // measured: stderr, never the stdout golden.
+    eprintln!("sweep execution: {stats}");
 }

@@ -1,7 +1,8 @@
 //! Shared experiment harness used by the `exp_*` binaries and the
 //! Criterion benchmarks.
 //!
-//! Every experiment of DESIGN.md §4 (E1–E4, F1, F2, A1–A3) has a function
+//! Every experiment (E1–E4, F1, F2) and ablation (A1–A3) — the `exp_*`
+//! binaries listed in the README's Quickstart — has a function
 //! here that builds the scenario, runs the relevant part of the pipeline
 //! and returns the numbers; the binaries only format them and the benches
 //! only time them. Scales:
@@ -16,7 +17,7 @@ use asgraph::AsGraph;
 use bgp_types::{Asn, IpVersion};
 use hybrid_tor::baselines::{gao_inference, BaselineInput, InferenceAccuracy};
 use hybrid_tor::hybrid::HybridFinding;
-use hybrid_tor::impact::SweepOptions;
+use hybrid_tor::impact::{SweepOptions, SweepStats};
 use hybrid_tor::ingest::{TemporalSweep, UpdateStream, WindowOutcome};
 use hybrid_tor::pipeline::{Pipeline, PipelineInput, PipelineOptions};
 use hybrid_tor::report::Report;
@@ -169,8 +170,8 @@ fn parse_millis_knob(name: &str, value: Option<&str>, default: u64) -> Result<u6
 /// load generator honour, resolved once by [`ExecKnobs::from_env`] — the
 /// single replacement for the former family of per-knob `configured_*`
 /// getters (whose strict parsers it keeps). Execution knobs (workers,
-/// frontier split, scheduling, CSR backend, sweep tiers, ingest delta,
-/// service tuning) are byte-invisible in every report; `scenario` and
+/// frontier split, scheduling, CSR backend, sweep tiers, service tuning)
+/// are byte-invisible in every report; `scenario` and
 /// `deployment` are **output** knobs that change the routes — but still
 /// byte-identically at every worker count.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,8 +186,9 @@ pub struct ExecKnobs {
     /// with all parallelism on per-origin sharding.
     pub frontier: usize,
     /// `HYBRID_INCREMENTAL` — whether the sweep's incremental delta-BFS
-    /// engine is enabled (default on). Only the opt-in `sweep_stats`
-    /// execution counters reflect it, never a measured number.
+    /// engine is enabled (default on). Only the sweep's execution
+    /// counters (`PipelineArtifacts::sweep_stats`) reflect it, never a
+    /// measured number.
     pub incremental: bool,
     /// `HYBRID_REMOVAL_REPAIR` — whether the sweep repairs load-bearing
     /// removals in place instead of falling back to a full BFS (default
@@ -205,12 +207,6 @@ pub struct ExecKnobs {
     /// `HYBRID_DEPLOYMENT` — fraction of ASes deploying the scenario's
     /// defensive policy, in `[0, 1]` (default `0`). An **output** knob.
     pub deployment: f64,
-    /// `HYBRID_INGEST_DELTA` — whether streaming replay repairs the
-    /// valley/visibility analyses through the delta engine instead of
-    /// recomputing them per window (default on). Execution only: the
-    /// windowed reports are byte-identical either way, which
-    /// `tests/determinism.rs` pins.
-    pub ingest_delta: bool,
     /// `HYBRID_UPDATE_WINDOWS` — how many synthetic update windows the
     /// resident daemon replays on `Reload` requests: `0` (the default)
     /// keeps the classic full-rebuild reload.
@@ -240,7 +236,6 @@ impl Default for ExecKnobs {
             csr: true,
             scenario: routesim::PolicyScenario::Classic,
             deployment: 0.0,
-            ingest_delta: true,
             update_windows: 0,
             addr: "127.0.0.1:7411".parse().expect("literal address"),
             batch: 32,
@@ -270,9 +265,6 @@ impl ExecKnobs {
             scenario: env_knob("HYBRID_SCENARIO", |v| parse_scenario_knob("HYBRID_SCENARIO", v)),
             deployment: env_knob("HYBRID_DEPLOYMENT", |v| {
                 parse_fraction_knob("HYBRID_DEPLOYMENT", v, 0.0)
-            }),
-            ingest_delta: env_knob("HYBRID_INGEST_DELTA", |v| {
-                parse_bool_knob("HYBRID_INGEST_DELTA", v, true)
             }),
             update_windows: env_knob("HYBRID_UPDATE_WINDOWS", |v| {
                 parse_count_knob("HYBRID_UPDATE_WINDOWS", v, 0)
@@ -340,7 +332,6 @@ impl From<&ExecKnobs> for PipelineOptions {
             .with_frontier(knobs.frontier)
             .with_scheduling(knobs.scheduling)
             .with_csr(knobs.csr)
-            .with_scenario(knobs.scenario)
     }
 }
 
@@ -514,10 +505,10 @@ pub fn run_measurement(scenario: &Scenario) -> Report {
 ///
 /// The window count comes from `HYBRID_UPDATE_WINDOWS` when set (non-zero),
 /// else `default_windows`; `incremental` selects delta-repaired replay
-/// (the `HYBRID_INGEST_DELTA` resolution, [`ExecKnobs::ingest_delta`]) or
-/// the full per-window recompute. Both modes — and every worker count —
-/// produce byte-identical per-window reports; the determinism matrix and
-/// the golden snapshots pin that, which is why the G-series bins can be
+/// (what G1 runs) or the full per-window recompute (the reference G2
+/// compares it against). Both modes — and every worker count — produce
+/// byte-identical per-window reports; the determinism matrix and the
+/// golden snapshots pin that, which is why the G-series bins can be
 /// goldens like any other.
 pub fn run_temporal(
     scenario: &Scenario,
@@ -543,27 +534,27 @@ pub fn run_temporal(
 /// F2: run the measurement including the customer-tree correction sweep.
 ///
 /// `source_cap` bounds the all-pairs computation; `None` is exact and is
-/// what the paper-scale binary uses. Honours `HYBRID_THREADS` and
-/// `HYBRID_INCREMENTAL`, and asks the pipeline for the sweep's execution
-/// statistics so the bins can print cache/delta effectiveness.
+/// what the paper-scale binary uses. Honours `HYBRID_THREADS` and the
+/// sweep knobs, and returns the sweep's execution statistics next to the
+/// report so a bin can print cache/delta effectiveness on stderr.
 pub fn run_measurement_with_impact(
     scenario: &Scenario,
     top_k: usize,
     source_cap: Option<usize>,
-) -> Report {
+) -> (Report, SweepStats) {
     let knobs = ExecKnobs::from_env();
     let pipeline = Pipeline {
         options: PipelineOptions::from(&knobs).with_sweep(knobs.sweep()),
-        emit_sweep_stats: true,
         ..Pipeline::with_impact(top_k, source_cap)
     };
-    pipeline.run(
+    let (report, artifacts) = pipeline.run_with_artifacts(
         PipelineInput::builder()
             .scenario(scenario)
             .options(pipeline.options)
             .build()
             .expect("scenario inputs cannot fail"),
-    )
+    );
+    (report, artifacts.sweep_stats.expect("the sweep ran"))
 }
 
 /// F1: the Figure 1 example — the customer tree of AS1 under the two
@@ -749,7 +740,7 @@ pub fn rov_sweep(scale: &ExperimentScale, fractions: &[f64]) -> Vec<DeploymentIm
                 sim.policy_scenario = attack;
                 sim.policy_deployment = fraction;
             });
-            let report = run_measurement_with_impact(&scenario, 5, Some(64));
+            let (report, _) = run_measurement_with_impact(&scenario, 5, Some(64));
             let curve = report.impact.expect("impact sweep requested");
             rows.push(DeploymentImpact {
                 scenario: attack,
@@ -864,7 +855,7 @@ mod tests {
     #[test]
     fn impact_measurement_includes_a_curve() {
         let scenario = build_scenario(&tiny_scale());
-        let report = run_measurement_with_impact(&scenario, 3, Some(64));
+        let (report, _) = run_measurement_with_impact(&scenario, 3, Some(64));
         let curve = report.impact.unwrap();
         assert!(!curve.steps.is_empty());
     }
@@ -1162,8 +1153,12 @@ mod tests {
     #[test]
     fn impact_measurement_reports_sweep_stats() {
         let scenario = build_scenario(&tiny_scale());
-        let report = run_measurement_with_impact(&scenario, 3, Some(64));
-        let stats = report.sweep_stats.expect("the harness asks for sweep stats");
+        // The E1 pipeline runs no sweep, so it hands back no counters ...
+        let pipeline = ExecKnobs::from_env().pipeline();
+        let input = PipelineInput::builder().scenario(&scenario).build().unwrap();
+        assert!(pipeline.run_with_artifacts(input).1.sweep_stats.is_none());
+        // ... and the F2 harness returns the sweep's counters.
+        let (_, stats) = run_measurement_with_impact(&scenario, 3, Some(64));
         assert!(stats.lookups() > 0);
         assert_eq!(stats.misses, stats.delta_repairs + stats.full_rebuilds);
     }

@@ -366,8 +366,9 @@ fn accumulate_partial(
 /// Execution statistics of a correction sweep: how much of the per-source
 /// work the skip tier memoized away, and how the remainder split between
 /// incremental delta repairs and full BFS recomputations. Purely
-/// observational — the counters never influence the curve.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// observational — the counters never influence the curve, and never
+/// reach a report (see `PipelineArtifacts::sweep_stats`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Per-source step computations served from the memo (no BFS state
     /// touched at all).
@@ -453,29 +454,9 @@ impl SweepCache {
         SweepCache::default()
     }
 
-    /// Per-source step computations served from the memo (no BFS run).
-    pub fn hits(&self) -> u64 {
-        self.stats.hits
-    }
-
-    /// Per-source step computations that touched the BFS state.
-    pub fn misses(&self) -> u64 {
-        self.stats.misses
-    }
-
-    /// Total per-source step computations observed.
-    pub fn lookups(&self) -> u64 {
-        self.stats.lookups()
-    }
-
     /// Fraction of computations served from the memo (0 when unused).
     pub fn hit_rate(&self) -> f64 {
         self.stats.hit_rate()
-    }
-
-    /// Misses the incremental delta engine absorbed.
-    pub fn delta_repairs(&self) -> u64 {
-        self.stats.delta_repairs
     }
 
     /// Misses that ran a full valley-free BFS.
@@ -903,10 +884,11 @@ mod tests {
             &SweepOptions { concurrency: 1, cache: true, incremental: true, removal_repair: false },
             &mut cache,
         );
-        assert!(cache.hits() > 0, "disconnected sources should be served from the memo");
-        assert!(cache.misses() > 0);
+        let stats = cache.stats();
+        assert!(stats.hits > 0, "disconnected sources should be served from the memo");
+        assert!(stats.misses > 0);
         assert!(cache.hit_rate() > 0.0 && cache.hit_rate() < 1.0);
-        assert_eq!(cache.lookups(), cache.hits() + cache.misses());
+        assert_eq!(stats.lookups(), stats.hits + stats.misses);
         let uncached = reference_sweep(&g, &findings, &ImpactOptions::default());
         assert_eq!(cached.steps, uncached.steps, "memoization changed the curve");
     }
@@ -918,10 +900,14 @@ mod tests {
         let mut cache = SweepCache::new();
         let sweep = SweepOptions::with_concurrency(1);
         let _ = correction_sweep_in(&g, &findings, &ImpactOptions::default(), &sweep, &mut cache);
-        let first = cache.lookups();
+        let first = cache.stats().lookups();
         assert!(first > 0);
         let _ = correction_sweep_in(&g, &findings, &ImpactOptions::default(), &sweep, &mut cache);
-        assert_eq!(cache.lookups(), 2 * first, "second sweep should add the same lookup count");
+        assert_eq!(
+            cache.stats().lookups(),
+            2 * first,
+            "second sweep should add the same lookup count"
+        );
     }
 
     #[test]
@@ -982,7 +968,6 @@ mod tests {
         assert_eq!(stats.lookups(), stats.hits + stats.misses);
         assert!(stats.delta_repairs > 0, "dirty sources should go through the delta tier");
         assert!(stats.full_rebuilds > 0, "the baseline pass always runs full BFS computations");
-        assert_eq!(cache.delta_repairs(), stats.delta_repairs);
         assert_eq!(cache.full_rebuilds(), stats.full_rebuilds);
         assert!(stats.delta_rate() > 0.0);
         // The rendered form mentions both sides of the split.
@@ -1068,7 +1053,7 @@ mod tests {
             repair_cache.full_rebuilds(),
             fallback_cache.full_rebuilds(),
         );
-        assert!(repair_cache.delta_repairs() > fallback_cache.delta_repairs());
+        assert!(repair_cache.stats().delta_repairs > fallback_cache.stats().delta_repairs);
         assert_eq!(repaired.steps, fallback.steps, "removal repair changed the curve");
         let full = reference_sweep(&g, &findings, &options);
         assert_eq!(repaired.steps, full.steps, "removal repair diverged from full recompute");
@@ -1091,9 +1076,5 @@ mod tests {
         assert_eq!(stats.hit_rate(), 0.0);
         assert_eq!(stats.delta_rate(), 0.0);
         assert_eq!(stats.lookups(), 0);
-        // Serialization round trip (the report embeds these).
-        let json = serde_json::to_string(&stats).unwrap();
-        let back: SweepStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, stats);
     }
 }

@@ -10,7 +10,7 @@ use crate::baselines::{gao_inference, BaselineInput, InferenceAccuracy};
 use crate::communities::{CommunityInference, InferenceSource};
 use crate::extract::extract;
 use crate::hybrid::detect_hybrids;
-use crate::impact::{correction_sweep_in, ImpactOptions, SweepCache, SweepOptions};
+use crate::impact::{correction_sweep_in, ImpactOptions, SweepCache, SweepOptions, SweepStats};
 use crate::ingest::{run_valley_stage, ApplyStats, IngestCaches, LiveRib, UpdateStream};
 use crate::locpref::LocPrfRosetta;
 use crate::report::{DatasetSummary, Report};
@@ -213,13 +213,6 @@ pub struct PipelineOptions {
     /// `PipelineOptions::default()` carries; like `concurrency`, the knob
     /// never changes the report bytes.
     pub sweep: SweepOptions,
-    /// The adversarial scenario the input was propagated under (see
-    /// [`routesim::PolicyScenario`]), recorded in the report when it is
-    /// not the classic default. Unlike every knob above, this is an
-    /// **output** knob — and so [`configure_sim`](Self::configure_sim)
-    /// leaves `SimConfig::policy_scenario` alone: the caller building the
-    /// scenario sets both.
-    pub policy_scenario: routesim::PolicyScenario,
 }
 
 impl Default for PipelineOptions {
@@ -230,7 +223,6 @@ impl Default for PipelineOptions {
             scheduling: routesim::OriginScheduling::default(),
             csr: true,
             sweep: SweepOptions::default(),
-            policy_scenario: routesim::PolicyScenario::default(),
         }
     }
 }
@@ -275,11 +267,6 @@ impl PipelineOptions {
         PipelineOptions { csr, ..self }
     }
 
-    /// These options with the given adversarial scenario.
-    pub fn with_scenario(self, policy_scenario: routesim::PolicyScenario) -> Self {
-        PipelineOptions { policy_scenario, ..self }
-    }
-
     /// The worker count these options resolve to (`0` = all cores).
     pub fn workers(&self) -> usize {
         routesim::effective_concurrency(self.concurrency)
@@ -319,40 +306,26 @@ pub struct PipelineArtifacts {
     /// `data.graph` with the inferred relationships annotated onto it —
     /// the graph every relationship/valley point query reads.
     pub annotated: asgraph::AsGraph,
+    /// How the Figure 2 sweep executed (memo hits, delta repairs vs full
+    /// BFS); `Some` exactly when the sweep ran. The counters describe
+    /// execution, not the measurement — they depend on the sweep knobs —
+    /// so they stay out of the report.
+    pub sweep_stats: Option<SweepStats>,
 }
 
-/// Pipeline configuration.
-#[derive(Debug, Clone)]
+/// What to measure: the paper's fixed measurement (E1 coverage, the
+/// E2–E4 census, baseline accuracy whenever the input carries ground
+/// truth), plus the Figure 2 sweep when `impact` is set. A report's bytes
+/// depend only on the input and `impact`; `options` say how to run, never
+/// what comes out.
+#[derive(Debug, Clone, Default)]
 pub struct Pipeline {
-    /// Use the LocPrf Rosetta Stone to extend coverage (the paper does).
-    pub use_locpref: bool,
     /// Run the Figure 2 customer-tree correction sweep (all-pairs valley-
-    /// free BFS over the tree union — the expensive part).
-    pub run_impact: bool,
-    /// Options for the correction sweep.
-    pub impact_options: ImpactOptions,
-    /// Evaluate the Gao baseline against ground truth when available.
-    pub evaluate_baseline: bool,
-    /// Attach the sweep's execution statistics (memo hits, delta repairs
-    /// vs full BFS) to the report. Off by default: the counters depend on
-    /// the cache/incremental knobs, so reports in the determinism matrix
-    /// and the committed golden snapshots never carry them.
-    pub emit_sweep_stats: bool,
+    /// free BFS over the tree union — the expensive part) with these
+    /// options.
+    pub impact: Option<ImpactOptions>,
     /// Execution options (worker threads for the parallel sections).
     pub options: PipelineOptions,
-}
-
-impl Default for Pipeline {
-    fn default() -> Self {
-        Pipeline {
-            use_locpref: true,
-            run_impact: false,
-            impact_options: ImpactOptions::default(),
-            evaluate_baseline: true,
-            emit_sweep_stats: false,
-            options: PipelineOptions::default(),
-        }
-    }
 }
 
 /// Run `a` on a scoped helper thread while the caller runs `b` when
@@ -376,11 +349,7 @@ fn join<RA: Send, RB>(
 impl Pipeline {
     /// A pipeline that also runs the Figure 2 sweep.
     pub fn with_impact(top_k: usize, source_cap: Option<usize>) -> Self {
-        Pipeline {
-            run_impact: true,
-            impact_options: ImpactOptions { top_k, source_cap },
-            ..Default::default()
-        }
+        Pipeline { impact: Some(ImpactOptions { top_k, source_cap }), ..Default::default() }
     }
 
     /// A pipeline pinned to `concurrency` worker threads.
@@ -463,10 +432,8 @@ impl Pipeline {
 
         // 3. LocPrf Rosetta Stone (reads and extends the inference, so it
         //    stays on the critical path).
-        if self.use_locpref {
-            let mut rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &inference);
-            rosetta.apply(&snapshot, &dictionary, &mut inference);
-        }
+        let mut rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &inference);
+        rosetta.apply(&snapshot, &dictionary, &mut inference);
 
         // 4+5+7a. Hybrid detection, valley analysis and the Gao baseline
         //         all read (data, inference) without touching each other.
@@ -514,12 +481,12 @@ impl Pipeline {
 
         // 7b. Baseline accuracy against ground truth (the baseline itself
         //     was computed above, alongside the other independent stages).
-        let (baseline_accuracy_v4, baseline_accuracy_v6) = match (&truth, self.evaluate_baseline) {
-            (Some(truth), true) => (
+        let (baseline_accuracy_v4, baseline_accuracy_v6) = match &truth {
+            Some(truth) => (
                 Some(InferenceAccuracy::evaluate(&baseline, &truth.graph, IpVersion::V4)),
                 Some(InferenceAccuracy::evaluate(&baseline, &truth.graph, IpVersion::V6)),
             ),
-            _ => (None, None),
+            None => (None, None),
         };
 
         // 8. Figure 2 sweep: start from the plane-blind annotation (the
@@ -527,41 +494,37 @@ impl Pipeline {
         //    what the pre-existing datasets encode) and correct the most
         //    visible hybrid links with their community-derived IPv6
         //    relationship.
-        let (impact, sweep_stats) = if self.run_impact {
-            let misinferred = crate::impact::plane_blind_annotation_with(
-                &data.graph,
-                &inference,
-                &baseline,
-                self.options.sweep.concurrency,
-            );
-            let mut cache = SweepCache::new();
-            let curve = correction_sweep_in(
-                &misinferred,
-                &hybrids.findings,
-                &self.impact_options,
-                &self.options.sweep,
-                &mut cache,
-            );
-            (Some(curve), self.emit_sweep_stats.then(|| cache.stats()))
-        } else {
-            (None, None)
-        };
+        let (impact, sweep_stats) = self
+            .impact
+            .as_ref()
+            .map(|impact_options| {
+                let misinferred = crate::impact::plane_blind_annotation_with(
+                    &data.graph,
+                    &inference,
+                    &baseline,
+                    self.options.sweep.concurrency,
+                );
+                let mut cache = SweepCache::new();
+                let curve = correction_sweep_in(
+                    &misinferred,
+                    &hybrids.findings,
+                    impact_options,
+                    &self.options.sweep,
+                    &mut cache,
+                );
+                (curve, cache.stats())
+            })
+            .unzip();
 
         let report = Report {
             dataset,
             hybrids,
             valleys,
             impact,
-            sweep_stats,
             baseline_accuracy_v4,
             baseline_accuracy_v6,
-            // Recorded only off the classic default so classic reports —
-            // including every pre-scenario golden snapshot — keep their
-            // exact bytes.
-            policy_scenario: (self.options.policy_scenario != routesim::PolicyScenario::Classic)
-                .then_some(self.options.policy_scenario),
         };
-        (report, PipelineArtifacts { data, inference, annotated })
+        (report, PipelineArtifacts { data, inference, annotated, sweep_stats })
     }
 }
 
@@ -620,10 +583,26 @@ mod tests {
     #[test]
     fn locpref_extension_increases_or_preserves_coverage() {
         let scenario = scenario();
-        let with = Pipeline::default().run(input(&scenario));
-        let without = Pipeline { use_locpref: false, ..Default::default() }.run(input(&scenario));
-        assert!(with.dataset.ipv6_links_classified >= without.dataset.ipv6_links_classified);
-        assert_eq!(without.dataset.ipv6_links_from_locpref, 0);
+        let snapshot = scenario.merged_snapshot();
+        let dictionary = scenario.registry.build_dictionary();
+        let before = CommunityInference::from_snapshot(&snapshot, &dictionary);
+        let mut after = before.clone();
+        let mut rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &before);
+        rosetta.apply(&snapshot, &dictionary, &mut after);
+        for plane in IpVersion::BOTH {
+            assert!(after.inferred_link_count(plane) >= before.inferred_link_count(plane));
+            // Every link LocPrf added is sourced from LocPrf; the
+            // community-derived links are left as they were.
+            assert_eq!(
+                after.inferred_by_source(plane, InferenceSource::Communities),
+                before.inferred_by_source(plane, InferenceSource::Communities)
+            );
+            assert_eq!(before.inferred_by_source(plane, InferenceSource::LocalPref), 0);
+            assert_eq!(
+                after.inferred_link_count(plane) - before.inferred_link_count(plane),
+                after.inferred_by_source(plane, InferenceSource::LocalPref)
+            );
+        }
     }
 
     #[test]
@@ -635,26 +614,21 @@ mod tests {
         assert!(!curve.steps.is_empty());
         assert_eq!(curve.steps[0].corrected, 0);
         assert!(curve.steps.len() <= 6);
-        assert!(report.sweep_stats.is_none(), "stats are opt-in");
     }
 
     #[test]
     fn sweep_stats_are_emitted_only_on_request_and_never_change_the_curve() {
         let scenario = scenario();
-        let silent = Pipeline::with_impact(5, Some(64));
-        let chatty = Pipeline { emit_sweep_stats: true, ..Pipeline::with_impact(5, Some(64)) };
-        let without = silent.run(input(&scenario));
-        let with = chatty.run(input(&scenario));
-        let stats = with.sweep_stats.expect("stats requested");
+        let (plain, artifacts) = Pipeline::default().run_with_artifacts(input(&scenario));
+        assert!(plain.impact.is_none());
+        assert!(artifacts.sweep_stats.is_none(), "no sweep, no counters");
+        let pipeline = Pipeline::with_impact(5, Some(64));
+        let (report, artifacts) = pipeline.run_with_artifacts(input(&scenario));
+        let stats = artifacts.sweep_stats.expect("the sweep ran");
         assert!(stats.lookups() > 0);
         assert_eq!(stats.misses, stats.delta_repairs + stats.full_rebuilds);
-        assert_eq!(
-            with.impact.as_ref().unwrap().steps,
-            without.impact.as_ref().unwrap().steps,
-            "emitting stats must not perturb the curve"
-        );
-        assert!(with.to_json().contains("sweep_stats"));
-        assert!(!without.to_json().contains("sweep_stats"));
+        // Handing the counters back leaves the report as `run` renders it.
+        assert_eq!(report.to_json(), pipeline.run(input(&scenario)).to_json());
     }
 
     #[test]
@@ -749,7 +723,6 @@ mod tests {
     #[test]
     fn configure_sim_overwrites_execution_fields_and_keeps_output_knobs() {
         use routesim::{OriginScheduling, PolicyScenario};
-        assert_eq!(PipelineOptions::default().policy_scenario, PolicyScenario::Classic);
         let sim = SimConfig::small()
             .with_concurrency(3)
             .with_frontier(5)
@@ -758,8 +731,7 @@ mod tests {
             .with_scenario(PolicyScenario::SubprefixHijack)
             .with_deployment(0.25);
         // The options' execution fields win, even over pinned values ...
-        let stamped =
-            PipelineOptions::default().with_scenario(PolicyScenario::RouteLeak).configure_sim(sim);
+        let stamped = PipelineOptions::default().configure_sim(sim);
         assert_eq!(stamped.concurrency, 0);
         assert_eq!(stamped.frontier_concurrency, 1);
         assert_eq!(stamped.scheduling, OriginScheduling::Degree);
@@ -774,10 +746,8 @@ mod tests {
         let scenario = scenario();
         let render = |options: PipelineOptions| {
             let pipeline = Pipeline {
-                run_impact: true,
-                impact_options: ImpactOptions { top_k: 3, source_cap: Some(64) },
+                impact: Some(ImpactOptions { top_k: 3, source_cap: Some(64) }),
                 options,
-                ..Default::default()
             };
             let input =
                 PipelineInput::builder().scenario(&scenario).options(options).build().unwrap();

@@ -6,11 +6,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::baselines::InferenceAccuracy;
 use crate::hybrid::HybridReport;
-use crate::impact::{ImpactCurve, SweepStats};
+use crate::impact::ImpactCurve;
 use crate::valley::ValleyReport;
 
 /// Dataset and coverage summary — the paper's first paragraph of Section 3
-/// (experiment E1 in DESIGN.md).
+/// (experiment E1, `exp_e1_dataset`; see the README's experiment list).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DatasetSummary {
     /// Distinct IPv6 AS paths observed.
@@ -72,25 +72,11 @@ pub struct Report {
     pub valleys: ValleyReport,
     /// F2: the customer-tree correction curve, if the pipeline ran it.
     pub impact: Option<ImpactCurve>,
-    /// F2: execution statistics of the correction sweep (memo hits, delta
-    /// repairs vs full BFS). Only populated when the pipeline is asked to
-    /// emit them (`Pipeline::emit_sweep_stats`) — the key is omitted from
-    /// the JSON when absent, so committed report snapshots and the
-    /// determinism contract are untouched by the knob.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub sweep_stats: Option<SweepStats>,
     /// A1: baseline accuracy against ground truth, when ground truth is
     /// available (simulated scenarios only).
     pub baseline_accuracy_v4: Option<InferenceAccuracy>,
     /// A1: baseline accuracy on the IPv6 plane.
     pub baseline_accuracy_v6: Option<InferenceAccuracy>,
-    /// The adversarial scenario the pipeline's execution options carried
-    /// (`PipelineOptions::policy_scenario`), recorded when it is not the
-    /// classic default. The key is omitted from the JSON under the
-    /// classic policy, so pre-existing report snapshots and the
-    /// determinism contract are untouched.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub policy_scenario: Option<routesim::PolicyScenario>,
 }
 
 impl Report {
@@ -103,9 +89,6 @@ impl Report {
 
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if let Some(scenario) = self.policy_scenario {
-            writeln!(f, "Adversarial scenario:     {scenario:?}")?;
-        }
         let d = &self.dataset;
         writeln!(f, "== Dataset (E1) ==")?;
         writeln!(f, "IPv6 AS paths (distinct): {}", d.ipv6_paths)?;
@@ -184,9 +167,6 @@ impl fmt::Display for Report {
                     curve.diameter_delta()
                 )?;
             }
-        }
-        if let Some(stats) = &self.sweep_stats {
-            writeln!(f, "sweep execution:          {stats}")?;
         }
         if let (Some(v4), Some(v6)) = (&self.baseline_accuracy_v4, &self.baseline_accuracy_v6) {
             writeln!(f, "== Baseline (Gao) accuracy vs ground truth (A1) ==")?;
@@ -267,61 +247,5 @@ mod tests {
         assert!(text.contains("-1.57"));
         assert!(text.contains("diameter -4"));
         assert!(text.contains("Gao"));
-    }
-
-    #[test]
-    fn policy_scenario_is_omitted_when_classic_and_round_trips_when_present() {
-        // Absent (classic): no key, no display line — pre-scenario report
-        // snapshots keep their exact bytes.
-        let plain = Report::default();
-        assert!(plain.policy_scenario.is_none());
-        assert!(!plain.to_json().contains("policy_scenario"));
-        assert!(!plain.to_string().contains("Adversarial scenario"));
-        let back: Report = serde_json::from_str(&plain.to_json()).unwrap();
-        assert!(back.policy_scenario.is_none());
-
-        // Present: serialized, displayed, and round-tripped.
-        let report = Report {
-            policy_scenario: Some(routesim::PolicyScenario::RouteLeak),
-            ..Default::default()
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"policy_scenario\": \"RouteLeak\""));
-        let back: Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.policy_scenario, report.policy_scenario);
-        assert!(report.to_string().contains("Adversarial scenario:     RouteLeak"));
-    }
-
-    #[test]
-    fn sweep_stats_are_omitted_when_absent_and_round_trip_when_present() {
-        // Absent: the key must not appear at all, so reports rendered
-        // before the counters existed (golden snapshots, the determinism
-        // matrix) are byte-identical to reports rendered today.
-        let plain = Report::default();
-        assert!(plain.sweep_stats.is_none());
-        assert!(!plain.to_json().contains("sweep_stats"));
-        assert!(!plain.to_string().contains("sweep execution"));
-        // And a JSON without the key still deserializes.
-        let back: Report = serde_json::from_str(&plain.to_json()).unwrap();
-        assert!(back.sweep_stats.is_none());
-
-        // Present: serialized, displayed, and round-tripped.
-        let report = Report {
-            sweep_stats: Some(SweepStats {
-                hits: 75,
-                misses: 25,
-                delta_repairs: 20,
-                full_rebuilds: 5,
-            }),
-            ..Default::default()
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"sweep_stats\""));
-        assert!(json.contains("\"delta_repairs\": 20"));
-        let back: Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.sweep_stats, report.sweep_stats);
-        let text = report.to_string();
-        assert!(text.contains("sweep execution"));
-        assert!(text.contains("75.0% memo hits"));
     }
 }

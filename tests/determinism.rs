@@ -200,12 +200,8 @@ fn impact_report_json(
         incremental,
         removal_repair,
     });
-    let pipeline = Pipeline {
-        run_impact: true,
-        impact_options: ImpactOptions { top_k: 5, source_cap: Some(64) },
-        options,
-        ..Default::default()
-    };
+    let pipeline =
+        Pipeline { impact: Some(ImpactOptions { top_k: 5, source_cap: Some(64) }), options };
     let report = pipeline.run(
         PipelineInput::builder().scenario(&scenario).options(pipeline.options).build().unwrap(),
     );
@@ -249,10 +245,10 @@ fn ingest_replay_matrix_produces_byte_identical_reports() {
     use hybrid_as_rel::tor::ingest::{TemporalSweep, UpdateStream};
     // The streaming ingest path adds two execution dimensions on top of
     // the worker count: delta-repaired replay vs full per-window
-    // recompute (`HYBRID_INGEST_DELTA` in the harness). Per window, every
-    // (concurrency × mode) combination must render the bytes of the
-    // sequential full-recompute run — the caches are exact, never an
-    // output knob.
+    // recompute (the pair `exp_g2_correction_churn` compares). Per
+    // window, every (concurrency × mode) combination must render the
+    // bytes of the sequential full-recompute run — the caches are exact,
+    // never an output knob.
     let topology = TopologyConfig::tiny();
     let sim = SimConfig::small();
     let scenario = Scenario::build(&topology, &sim);
