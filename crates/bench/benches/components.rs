@@ -15,7 +15,7 @@ use hybrid_tor::hybrid::HybridFinding;
 use hybrid_tor::impact::{correction_sweep_in, ImpactOptions, SweepCache, SweepOptions};
 use hybrid_tor::pipeline::{Pipeline, PipelineInput};
 use routesim::propagate::{propagate_origin, propagate_origins, PropagationOptions};
-use routesim::{OriginScheduling, Scenario};
+use routesim::Scenario;
 use topogen::HybridClass;
 
 use bench::record_gauge;
@@ -121,22 +121,17 @@ fn components(c: &mut Criterion) {
         })
     });
     group.throughput(Throughput::Elements(origins.len() as u64));
-    // The origin-to-worker schedule at a fixed worker count: degree-aware
-    // LPT binning against the static striping baseline. Outputs are
-    // byte-identical under both schedules — the rows only measure how
-    // evenly the per-origin work lands on the workers.
-    for (name, scheduling) in
-        [("lpt=degree", OriginScheduling::Degree), ("lpt=static", OriginScheduling::Static)]
-    {
-        let options = PropagationOptions::default().with_scheduling(scheduling);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    propagate_origins(graph, black_box(&origins), IpVersion::V4, &options, 4).len(),
-                )
-            })
-        });
-    }
+    // Per-origin sharding at a fixed worker count under the degree-aware
+    // LPT schedule: measures how evenly the per-origin work lands on the
+    // workers.
+    let options = PropagationOptions::default();
+    group.bench_function("lpt=degree", |b| {
+        b.iter(|| {
+            black_box(
+                propagate_origins(graph, black_box(&origins), IpVersion::V4, &options, 4).len(),
+            )
+        })
+    });
     // The second parallelism level: the within-origin frontier expansion,
     // measured where it matters — the highest-degree origins of a
     // paper-scale graph, whose per-origin latency caps the wall-clock of

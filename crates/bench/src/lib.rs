@@ -17,9 +17,9 @@ use asgraph::AsGraph;
 use bgp_types::{Asn, IpVersion};
 use hybrid_tor::baselines::{gao_inference, BaselineInput, InferenceAccuracy};
 use hybrid_tor::hybrid::HybridFinding;
-use hybrid_tor::impact::{SweepOptions, SweepStats};
+use hybrid_tor::impact::SweepStats;
 use hybrid_tor::ingest::{TemporalSweep, UpdateStream, WindowOutcome};
-use hybrid_tor::pipeline::{Pipeline, PipelineInput, PipelineOptions};
+use hybrid_tor::pipeline::{Pipeline, PipelineInput};
 use hybrid_tor::report::Report;
 use routesim::{Scenario, ScenarioPool, SimConfig, UpdateStreamConfig};
 use topogen::fixtures::figure1_topology;
@@ -41,45 +41,12 @@ fn parse_count_knob(name: &str, value: Option<&str>, default: usize) -> Result<u
     }
 }
 
-/// Parse a boolean knob: unset or empty means `default`; otherwise only
-/// `1`/`true`/`on`/`yes` and `0`/`false`/`off`/`no` (case-insensitive)
-/// are accepted. Malformed values are a hard error — the old
-/// `HYBRID_INCREMENTAL` rule ("anything but 0/false is on") silently
-/// read `HYBRID_INCREMENTAL=flase` as *enabled*.
-fn parse_bool_knob(name: &str, value: Option<&str>, default: bool) -> Result<bool, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(default),
-        Some(raw) => match raw.to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => Ok(true),
-            "0" | "false" | "off" | "no" => Ok(false),
-            _ => Err(format!(
-                "{name} must be a boolean (1/0, true/false, on/off, yes/no), got {raw:?}"
-            )),
-        },
-    }
-}
-
-/// Parse the origin-scheduling knob: unset or empty means the default
-/// degree-aware schedule; otherwise only `degree` and `static`
-/// (case-insensitive) are accepted.
-fn parse_scheduling_knob(
-    name: &str,
-    value: Option<&str>,
-) -> Result<routesim::OriginScheduling, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(routesim::OriginScheduling::Degree),
-        Some(raw) if raw.eq_ignore_ascii_case("degree") => Ok(routesim::OriginScheduling::Degree),
-        Some(raw) if raw.eq_ignore_ascii_case("static") => Ok(routesim::OriginScheduling::Static),
-        Some(raw) => Err(format!("{name} must be \"degree\" or \"static\", got {raw:?}")),
-    }
-}
-
 /// Parse the adversarial-scenario knob: unset or empty means the classic
 /// (well-behaved) policy; otherwise only `classic`, `leak`,
 /// `prefix-hijack` and `subprefix-hijack` (case-insensitive) are
-/// accepted. Unlike the execution knobs above this one *changes the
-/// routes* — and therefore the report — but it must stay invisible to
-/// worker counts.
+/// accepted. Unlike the worker count this one *changes the routes* —
+/// and therefore the report — but it must stay invisible to worker
+/// counts.
 fn parse_scenario_knob(
     name: &str,
     value: Option<&str>,
@@ -166,14 +133,47 @@ fn parse_millis_knob(name: &str, value: Option<&str>, default: u64) -> Result<u6
     }
 }
 
+/// The `HYBRID_*` variables [`ExecKnobs::from_env`] reads — the only
+/// ones the experiment bins, the resident daemon and the load generator
+/// accept.
+const KNOB_NAMES: [&str; 7] = [
+    "HYBRID_THREADS",
+    "HYBRID_SCENARIO",
+    "HYBRID_DEPLOYMENT",
+    "HYBRID_UPDATE_WINDOWS",
+    "HYBRID_ADDR",
+    "HYBRID_BATCH",
+    "HYBRID_EPOCH_CHECK_MS",
+];
+
+/// Reject every `HYBRID_*` name in `names` that is not one of
+/// [`KNOB_NAMES`], naming the offenders (sorted). A typo'd
+/// `HYBRID_THREAD=2` — or a knob this harness no longer reads — would
+/// otherwise be ignored and run a default-configured measurement under a
+/// label that claims otherwise.
+fn check_knob_names<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<(), String> {
+    let mut unknown: Vec<&str> = names
+        .into_iter()
+        .filter(|name| name.starts_with("HYBRID_") && !KNOB_NAMES.contains(name))
+        .collect();
+    if unknown.is_empty() {
+        return Ok(());
+    }
+    unknown.sort_unstable();
+    Err(format!(
+        "unknown HYBRID_* variable(s) {}; the recognised knobs are {}",
+        unknown.join(", "),
+        KNOB_NAMES.join(", ")
+    ))
+}
+
 /// Every `HYBRID_*` knob the experiment bins, the resident daemon and the
-/// load generator honour, resolved once by [`ExecKnobs::from_env`] — the
-/// single replacement for the former family of per-knob `configured_*`
-/// getters (whose strict parsers it keeps). Execution knobs (workers,
-/// frontier split, scheduling, CSR backend, sweep tiers, service tuning)
-/// are byte-invisible in every report; `scenario` and
-/// `deployment` are **output** knobs that change the routes — but still
-/// byte-identically at every worker count.
+/// load generator honour, resolved once by [`ExecKnobs::from_env`]. The
+/// worker count and the service tuning are byte-invisible in every
+/// report; `scenario` and `deployment` are **output** knobs that change
+/// the routes — but still byte-identically at every worker count.
+/// Everything else about execution (frontier split, origin schedule,
+/// graph backend, sweep tiers) runs the library defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecKnobs {
     /// `HYBRID_THREADS` — worker threads for scenario building, the
@@ -181,25 +181,6 @@ pub struct ExecKnobs {
     /// `1` = the sequential path, consistently with
     /// `SimConfig::concurrency` and `PipelineOptions::concurrency`.
     pub concurrency: usize,
-    /// `HYBRID_FRONTIER` — within-origin frontier workers: `0` = the
-    /// whole worker budget, `1` (the default) = sequential level scans
-    /// with all parallelism on per-origin sharding.
-    pub frontier: usize,
-    /// `HYBRID_INCREMENTAL` — whether the sweep's incremental delta-BFS
-    /// engine is enabled (default on). Only the sweep's execution
-    /// counters (`PipelineArtifacts::sweep_stats`) reflect it, never a
-    /// measured number.
-    pub incremental: bool,
-    /// `HYBRID_REMOVAL_REPAIR` — whether the sweep repairs load-bearing
-    /// removals in place instead of falling back to a full BFS (default
-    /// off, the conservative tier).
-    pub removal_repair: bool,
-    /// `HYBRID_SCHEDULING` — how propagation assigns origins to workers:
-    /// `degree` (the default, LPT binning) or `static` (index striping).
-    pub scheduling: routesim::OriginScheduling,
-    /// `HYBRID_CSR` — whether graphs are frozen into the flat CSR
-    /// backend before the heavy traversals run (default on).
-    pub csr: bool,
     /// `HYBRID_SCENARIO` — the adversarial scenario propagation runs
     /// under: `classic` (the default), `leak`, `prefix-hijack` or
     /// `subprefix-hijack`. An **output** knob.
@@ -229,11 +210,6 @@ impl Default for ExecKnobs {
     fn default() -> Self {
         ExecKnobs {
             concurrency: 0,
-            frontier: 1,
-            incremental: true,
-            removal_repair: false,
-            scheduling: routesim::OriginScheduling::Degree,
-            csr: true,
             scenario: routesim::PolicyScenario::Classic,
             deployment: 0.0,
             update_windows: 0,
@@ -245,23 +221,17 @@ impl Default for ExecKnobs {
 }
 
 impl ExecKnobs {
-    /// Resolve every knob from the environment. A malformed value is a
-    /// hard panic naming the variable and the offending value — an
-    /// experiment run must stop loudly, not silently mislabel itself.
+    /// Resolve every knob from the environment. A malformed value, or a
+    /// `HYBRID_*` variable outside the seven read here, is a hard panic
+    /// naming the variable — an experiment run must stop loudly, not
+    /// silently mislabel itself.
     pub fn from_env() -> Self {
+        let names: Vec<String> =
+            std::env::vars_os().filter_map(|(name, _)| name.into_string().ok()).collect();
+        check_knob_names(names.iter().map(String::as_str))
+            .unwrap_or_else(|message| panic!("{message}"));
         ExecKnobs {
             concurrency: env_knob("HYBRID_THREADS", |v| parse_count_knob("HYBRID_THREADS", v, 0)),
-            frontier: env_knob("HYBRID_FRONTIER", |v| parse_count_knob("HYBRID_FRONTIER", v, 1)),
-            incremental: env_knob("HYBRID_INCREMENTAL", |v| {
-                parse_bool_knob("HYBRID_INCREMENTAL", v, true)
-            }),
-            removal_repair: env_knob("HYBRID_REMOVAL_REPAIR", |v| {
-                parse_bool_knob("HYBRID_REMOVAL_REPAIR", v, false)
-            }),
-            scheduling: env_knob("HYBRID_SCHEDULING", |v| {
-                parse_scheduling_knob("HYBRID_SCHEDULING", v)
-            }),
-            csr: env_knob("HYBRID_CSR", |v| parse_bool_knob("HYBRID_CSR", v, true)),
             scenario: env_knob("HYBRID_SCENARIO", |v| parse_scenario_knob("HYBRID_SCENARIO", v)),
             deployment: env_knob("HYBRID_DEPLOYMENT", |v| {
                 parse_fraction_knob("HYBRID_DEPLOYMENT", v, 0.0)
@@ -283,55 +253,29 @@ impl ExecKnobs {
         routesim::effective_concurrency(self.concurrency)
     }
 
-    /// The `(origin workers, frontier workers)` split propagation runs
-    /// with: both worker knobs resolved against the host and composed so
-    /// their product never exceeds the core budget (see
-    /// `SimConfig::propagation_split`).
-    pub fn propagation_split(&self) -> (usize, usize) {
-        self.sim(&SimConfig::default()).propagation_split()
-    }
-
-    /// The sweep execution options these knobs resolve to: `concurrency`
-    /// workers, memoization on, the incremental engine steered by
-    /// `incremental` and the removal-repair tier by `removal_repair`.
-    pub fn sweep(&self) -> SweepOptions {
-        SweepOptions::with_concurrency(self.concurrency)
-            .with_incremental(self.incremental)
-            .with_removal_repair(self.removal_repair)
-    }
-
-    /// The pipeline the resident service builds its snapshot with: the
-    /// default measurement pipeline under these execution options —
+    /// The pipeline every bin measures with, and the one the resident
+    /// service builds its snapshot with: the default measurement pipeline
+    /// on `concurrency` workers (the sweep follows the same count) —
     /// exactly what [`run_measurement`] runs, exposed as a value so
     /// `hybridd` and `loadgen --check` construct provably the same
     /// pipeline.
     pub fn pipeline(&self) -> Pipeline {
-        Pipeline { options: PipelineOptions::from(self), ..Default::default() }
+        Pipeline::with_concurrency(self.concurrency)
     }
 
-    /// Apply these knobs to a simulator configuration: the execution
-    /// knobs (workers, frontier split, scheduling, backend) via
-    /// `PipelineOptions::configure_sim`, then the scenario and deployment
-    /// output knobs. Every scenario the harness builds — including the
-    /// per-rate/per-collector rebuilds inside [`coverage_sweep`] and
-    /// [`collector_sensitivity`] — goes through this.
+    /// Apply these knobs to a simulator configuration: the worker count
+    /// via `PipelineOptions::configure_sim` (which also stamps the
+    /// library's default frontier split, schedule and backend), then the
+    /// scenario and deployment output knobs. Every scenario the harness
+    /// builds — including the per-rate/per-collector rebuilds inside
+    /// [`coverage_sweep`] and [`collector_sensitivity`] — goes through
+    /// this.
     pub fn sim(&self, sim: &SimConfig) -> SimConfig {
-        PipelineOptions::from(self)
+        self.pipeline()
+            .options
             .configure_sim(sim.clone())
             .with_scenario(self.scenario)
             .with_deployment(self.deployment)
-    }
-}
-
-/// The single place the knob struct becomes pipeline execution options —
-/// the sweep knobs ride separately via [`ExecKnobs::sweep`], the service
-/// knobs via the `ServerConfig` the daemon assembles.
-impl From<&ExecKnobs> for PipelineOptions {
-    fn from(knobs: &ExecKnobs) -> PipelineOptions {
-        PipelineOptions::with_concurrency(knobs.concurrency)
-            .with_frontier(knobs.frontier)
-            .with_scheduling(knobs.scheduling)
-            .with_csr(knobs.csr)
     }
 }
 
@@ -534,17 +478,16 @@ pub fn run_temporal(
 /// F2: run the measurement including the customer-tree correction sweep.
 ///
 /// `source_cap` bounds the all-pairs computation; `None` is exact and is
-/// what the paper-scale binary uses. Honours `HYBRID_THREADS` and the
-/// sweep knobs, and returns the sweep's execution statistics next to the
-/// report so a bin can print cache/delta effectiveness on stderr.
+/// what the paper-scale binary uses. Honours `HYBRID_THREADS`, and
+/// returns the sweep's execution statistics next to the report so a bin
+/// can print cache/delta effectiveness on stderr.
 pub fn run_measurement_with_impact(
     scenario: &Scenario,
     top_k: usize,
     source_cap: Option<usize>,
 ) -> (Report, SweepStats) {
-    let knobs = ExecKnobs::from_env();
     let pipeline = Pipeline {
-        options: PipelineOptions::from(&knobs).with_sweep(knobs.sweep()),
+        options: ExecKnobs::from_env().pipeline().options,
         ..Pipeline::with_impact(top_k, source_cap)
     };
     let (report, artifacts) = pipeline.run_with_artifacts(
@@ -883,15 +826,22 @@ mod tests {
     fn env_helpers_resolve_sensibly() {
         let knobs = ExecKnobs::from_env();
         assert!(knobs.threads() >= 1, "resolved worker count is at least one");
-        let sweep = knobs.sweep();
-        assert!(sweep.cache, "the bins always run with the memo tier on");
-        assert_eq!(sweep.incremental, knobs.incremental);
-        assert_eq!(sweep.removal_repair, knobs.removal_repair);
-        assert_eq!(sweep.concurrency, knobs.concurrency);
-        let (origins, frontier) = knobs.propagation_split();
-        assert!(origins >= 1 && frontier >= 1);
-        assert!(origins * frontier <= knobs.threads().max(1), "split never oversubscribes");
-        assert!(knobs.csr, "the CSR backend is the default");
+        // The bins run the library's execution defaults on `concurrency`
+        // workers: the sweep follows the worker count with every tier at
+        // its default, and the simulator gets the default frontier split,
+        // schedule and backend whatever the base configuration pinned.
+        let options = knobs.pipeline().options;
+        assert_eq!(
+            options,
+            hybrid_tor::pipeline::PipelineOptions::with_concurrency(knobs.concurrency)
+        );
+        assert!(options.sweep.cache && options.sweep.incremental && !options.sweep.removal_repair);
+        let pinned = SimConfig::small().with_frontier(4).with_csr(false);
+        let sim = knobs.sim(&pinned);
+        assert_eq!(sim.concurrency, knobs.concurrency);
+        assert_eq!(sim.frontier_concurrency, SimConfig::default().frontier_concurrency);
+        assert_eq!(sim.scheduling, SimConfig::default().scheduling);
+        assert!(sim.csr, "the CSR backend is the default");
     }
 
     // The knob parsers are pure functions over `Option<&str>` so these
@@ -904,8 +854,8 @@ mod tests {
         assert_eq!(parse_count_knob("HYBRID_THREADS", Some(""), 0), Ok(0));
         assert_eq!(parse_count_knob("HYBRID_THREADS", Some("  "), 0), Ok(0));
         assert_eq!(parse_count_knob("HYBRID_THREADS", Some("2"), 0), Ok(2));
-        assert_eq!(parse_count_knob("HYBRID_FRONTIER", Some(" 8 "), 1), Ok(8));
-        assert_eq!(parse_count_knob("HYBRID_FRONTIER", None, 1), Ok(1));
+        assert_eq!(parse_count_knob("HYBRID_UPDATE_WINDOWS", Some(" 8 "), 1), Ok(8));
+        assert_eq!(parse_count_knob("HYBRID_UPDATE_WINDOWS", None, 1), Ok(1));
     }
 
     #[test]
@@ -920,52 +870,35 @@ mod tests {
     }
 
     #[test]
-    fn bool_knobs_accept_both_spellings_and_default_when_absent() {
-        assert_eq!(parse_bool_knob("HYBRID_INCREMENTAL", None, true), Ok(true));
-        assert_eq!(parse_bool_knob("HYBRID_INCREMENTAL", Some(""), true), Ok(true));
-        assert_eq!(parse_bool_knob("HYBRID_REMOVAL_REPAIR", None, false), Ok(false));
-        for on in ["1", "true", "TRUE", "on", "yes", " Yes "] {
-            assert_eq!(parse_bool_knob("HYBRID_INCREMENTAL", Some(on), false), Ok(true), "{on:?}");
-        }
-        for off in ["0", "false", "False", "off", "NO"] {
-            assert_eq!(
-                parse_bool_knob("HYBRID_INCREMENTAL", Some(off), true),
-                Ok(false),
-                "{off:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn malformed_bool_knobs_are_a_hard_error_not_silently_on() {
-        // The regression this guards: `HYBRID_INCREMENTAL=flase` used to
-        // parse as *enabled* under the old "anything but 0/false" rule.
-        for bad in ["flase", "2", "enabled", "ja"] {
-            let err = parse_bool_knob("HYBRID_INCREMENTAL", Some(bad), true)
-                .expect_err(&format!("{bad:?} must be rejected"));
-            assert!(err.contains("HYBRID_INCREMENTAL"), "message names the variable: {err}");
-            assert!(err.contains(bad), "message quotes the value: {err}");
-        }
-    }
-
-    #[test]
-    fn scheduling_knob_parses_both_schedules_and_rejects_everything_else() {
-        use routesim::OriginScheduling;
-        assert_eq!(parse_scheduling_knob("HYBRID_SCHEDULING", None), Ok(OriginScheduling::Degree));
+    fn unknown_hybrid_variables_are_a_hard_error_naming_them() {
+        // Every knob `from_env` reads passes, as does anything outside
+        // the `HYBRID_` namespace.
+        let accepted = KNOB_NAMES.iter().copied().chain(["PATH", "HYBRIDTHREADS", "UPDATE_GOLDEN"]);
+        assert_eq!(check_knob_names(accepted), Ok(()));
+        assert_eq!(check_knob_names([]), Ok(()));
+        // The offenders are the part of the message before the `;`.
+        let unknown = |names: &[&str]| {
+            let err = check_knob_names(names.iter().copied()).unwrap_err();
+            assert!(err.contains("HYBRID_EPOCH_CHECK_MS"), "message lists what is legal: {err}");
+            err.split(';').next().unwrap().to_string()
+        };
+        // A typo is refused instead of silently running on all cores ...
         assert_eq!(
-            parse_scheduling_knob("HYBRID_SCHEDULING", Some("")),
-            Ok(OriginScheduling::Degree)
+            unknown(&["HYBRID_THREADS", "HYBRID_THREAD"]),
+            "unknown HYBRID_* variable(s) HYBRID_THREAD"
         );
+        // ... and so is every retired execution knob, named in sorted order.
         assert_eq!(
-            parse_scheduling_knob("HYBRID_SCHEDULING", Some("degree")),
-            Ok(OriginScheduling::Degree)
+            unknown(&[
+                "HYBRID_SCHEDULING",
+                "HYBRID_FRONTIER",
+                "HYBRID_REMOVAL_REPAIR",
+                "HYBRID_CSR",
+                "HYBRID_INCREMENTAL",
+            ]),
+            "unknown HYBRID_* variable(s) HYBRID_CSR, HYBRID_FRONTIER, HYBRID_INCREMENTAL, \
+             HYBRID_REMOVAL_REPAIR, HYBRID_SCHEDULING"
         );
-        assert_eq!(
-            parse_scheduling_knob("HYBRID_SCHEDULING", Some(" Static ")),
-            Ok(OriginScheduling::Static)
-        );
-        let err = parse_scheduling_knob("HYBRID_SCHEDULING", Some("lpt")).unwrap_err();
-        assert!(err.contains("HYBRID_SCHEDULING") && err.contains("lpt"), "{err}");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! exp-smoke: every experiment binary, run end to end at `--tiny` scale,
 //! must reproduce its committed golden stdout byte for byte — and must
-//! produce those bytes at *every* execution setting, so the smoke run
-//! doubles as an end-to-end check of the determinism contract at the
-//! process boundary (the stdout a user pipes into a file, not just the
-//! report JSON the unit suites compare).
+//! produce those bytes at every execution setting the bins accept (the
+//! worker count is the only one), so the smoke run doubles as an
+//! end-to-end check of the determinism contract at the process boundary
+//! (the stdout a user pipes into a file, not just the report JSON the
+//! unit suites compare).
 //!
 //! Goldens live in `tests/golden/exp/` at the workspace root, next to the
 //! report snapshot, so the CI golden-drift gate covers them: regenerate
@@ -13,33 +14,28 @@
 //! Each binary runs twice, and the child environment is pinned so the
 //! comparison is reproducible whatever the caller's shell exports:
 //!
-//! * The **reference** run pins `HYBRID_THREADS=1`, `HYBRID_FRONTIER=1`,
-//!   `HYBRID_INCREMENTAL=1` and `HYBRID_CSR=1`, and its stdout is
-//!   compared with the golden.
-//! * The **flipped** run sets `HYBRID_THREADS=2`, `HYBRID_FRONTIER=2`,
-//!   `HYBRID_SCHEDULING=static`, `HYBRID_INCREMENTAL=0` and `HYBRID_CSR=0`
-//!   (the adjacency-map backend), and its stdout must equal the
-//!   reference's: parallelism, the origin schedule, the sweep's delta
-//!   engine and the graph backend are execution details, never output.
-//!   The sweep's execution counters, which do depend on these knobs, go
-//!   to stderr.
+//! * The **reference** run pins `HYBRID_THREADS=1` (the sequential
+//!   path), and its stdout is compared with the golden.
+//! * The **flipped** run sets `HYBRID_THREADS=2`, and its stdout must
+//!   equal the reference's: parallelism is an execution detail, never
+//!   output. The sweep's execution counters go to stderr.
 //!
-//! Both runs pin `HYBRID_REMOVAL_REPAIR=0`. The removal policy
-//! (`SweepOptions::removal_repair`, which the ingest valley cache also
-//! reads) decides whether a removed edge's distance maps are repaired in
-//! place or rebuilt, and that split is what `exp_g2_correction_churn`
-//! measures and prints: for G2 the knob picks the measurement, so it is
-//! not flipped like an execution detail. Both also pin
-//! `HYBRID_UPDATE_WINDOWS` (empty: each temporal bin's default) and
-//! `HYBRID_DEPLOYMENT` (empty: no defence).
+//! Both runs pin `HYBRID_UPDATE_WINDOWS` (empty: each temporal bin's
+//! default) and `HYBRID_DEPLOYMENT` (empty: no defence), and both
+//! inherit `HYBRID_SCENARIO` — a scenario is an output knob, so each CI
+//! scenario leg compares against its own golden directory
+//! (`tests/golden/exp/` for classic, a `tests/golden/exp/<scenario>/`
+//! subdirectory otherwise) and the flip must still reproduce the bytes
+//! within the leg.
 //!
-//! Two knobs are *inherited*: the reference run takes `HYBRID_SCHEDULING`
-//! from the job environment, so a CI matrix leg can re-prove the goldens
-//! under either origin schedule; and both runs inherit `HYBRID_SCENARIO`
-//! — a scenario is an output knob, so each scenario leg compares against
-//! its own golden directory (`tests/golden/exp/` for classic, a
-//! `tests/golden/exp/<scenario>/` subdirectory otherwise) and the flip
-//! must still reproduce the bytes within the leg.
+//! The bins run the library's defaults for everything else about
+//! execution. The alternatives that remain selectable from code are
+//! held to the same bytes in-process instead: the frontier split by
+//! `frontier_matrix_produces_byte_identical_reports`, the adjacency-map
+//! backend by `backend_matrix_produces_byte_identical_reports` and the
+//! sweep tiers by `impact_sweep_matrix_produces_byte_identical_reports`
+//! (all in `tests/determinism.rs`), plus their proptests in
+//! `tests/properties.rs`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -76,37 +72,21 @@ fn golden_dir() -> PathBuf {
     }
 }
 
-/// Run one binary at `--tiny` scale under the given execution knobs and
-/// return its stdout. `scheduling` is `None` to inherit the caller's
-/// `HYBRID_SCHEDULING` (the CI matrix leg), `Some` to pin it.
-fn run_tiny(
-    name: &str,
-    exe: &str,
-    threads: &str,
-    frontier: &str,
-    incremental: &str,
-    csr: &str,
-    scheduling: Option<&str>,
-) -> String {
-    let mut command = Command::new(exe);
-    command
+/// Run one binary at `--tiny` scale on `threads` workers and return its
+/// stdout.
+fn run_tiny(name: &str, exe: &str, threads: &str) -> String {
+    let output = Command::new(exe)
         .arg("--tiny")
         .env("HYBRID_THREADS", threads)
-        .env("HYBRID_FRONTIER", frontier)
-        .env("HYBRID_INCREMENTAL", incremental)
-        .env("HYBRID_CSR", csr)
-        .env("HYBRID_REMOVAL_REPAIR", "0")
         // Pinned so the temporal bins always replay their default window
         // count, whatever the caller's shell exports.
         .env("HYBRID_UPDATE_WINDOWS", "")
         // Pinned to "no defence": the scenario legs exercise the attack
         // itself; the deployment sweep has its own bin and goldens.
         // HYBRID_SCENARIO is deliberately inherited (see the module doc).
-        .env("HYBRID_DEPLOYMENT", "");
-    if let Some(scheduling) = scheduling {
-        command.env("HYBRID_SCHEDULING", scheduling);
-    }
-    let output = command.output().unwrap_or_else(|e| panic!("cannot spawn {name} ({exe}): {e}"));
+        .env("HYBRID_DEPLOYMENT", "")
+        .output()
+        .unwrap_or_else(|e| panic!("cannot spawn {name} ({exe}): {e}"));
     assert!(
         output.status.success(),
         "{name} --tiny exited with {}; stderr:\n{}",
@@ -124,10 +104,8 @@ fn exp_bins_reproduce_their_goldens_at_every_execution_setting() {
         std::fs::create_dir_all(&dir).expect("create tests/golden/exp");
     }
     for (name, exe) in BINS {
-        // The sequential reference run pins the goldens. It inherits
-        // HYBRID_SCHEDULING so the CI matrix can flip the schedule for
-        // the whole golden comparison.
-        let sequential = run_tiny(name, exe, "1", "1", "1", "1", None);
+        // The sequential reference run pins the goldens.
+        let sequential = run_tiny(name, exe, "1");
         let golden_path = dir.join(format!("{name}.txt"));
         if update {
             std::fs::write(&golden_path, &sequential)
@@ -147,13 +125,8 @@ fn exp_bins_reproduce_their_goldens_at_every_execution_setting() {
                 golden_path.display()
             );
         }
-        // ... and the flipped run (see the module doc) must produce the
-        // same bytes.
-        let flipped = run_tiny(name, exe, "2", "2", "0", "0", Some("static"));
-        assert!(
-            flipped == sequential,
-            "{name} --tiny stdout depends on the execution knobs \
-             (HYBRID_THREADS/HYBRID_FRONTIER/HYBRID_SCHEDULING/HYBRID_INCREMENTAL/HYBRID_CSR)"
-        );
+        // ... and the two-worker run must produce the same bytes.
+        let parallel = run_tiny(name, exe, "2");
+        assert!(parallel == sequential, "{name} --tiny stdout depends on HYBRID_THREADS");
     }
 }

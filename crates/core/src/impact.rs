@@ -152,9 +152,13 @@ impl Default for ImpactOptions {
 }
 
 /// Execution options for the impact subsystem: worker threads, the
-/// cross-step memoization switch and the incremental delta-BFS switch.
-/// None of the knobs affects the output — the curve is byte-identical at
-/// every setting; they only trade wall-clock time and memory.
+/// cross-step memoization switch, the incremental delta-BFS switch and
+/// the removal-repair tier. None of the knobs affects the output — the
+/// curve is byte-identical at every setting (the determinism suite's
+/// `impact_sweep_matrix_*` row runs all of them); they only trade
+/// wall-clock time and memory. The experiment bins set only the worker
+/// count ([`SweepOptions::with_concurrency`]); the tiers are selectable
+/// from code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepOptions {
     /// Worker threads for the per-source BFS work: `0` uses all available
@@ -166,14 +170,12 @@ pub struct SweepOptions {
     /// Repair dirty sources' distance maps incrementally (delta over the
     /// corrected edge) instead of recomputing the full BFS. Only effective
     /// together with `cache` (the delta engine lives on the memoized
-    /// per-source state). Defaults to on; the experiment harness maps
-    /// `HYBRID_INCREMENTAL=0` onto this knob.
+    /// per-source state). Defaults to on.
     pub incremental: bool,
     /// Repair load-bearing removals in place
     /// ([`asgraph::delta::RemovalPolicy::Repair`]) instead of falling back
     /// to a full BFS. Only effective together with `incremental`. Defaults
-    /// to off (the conservative historical fallback); the experiment
-    /// harness maps `HYBRID_REMOVAL_REPAIR=1` onto this knob.
+    /// to off (the conservative historical fallback).
     pub removal_repair: bool,
 }
 

@@ -775,6 +775,100 @@ mod tests {
         }
     }
 
+    /// A hand-built BGP4MP UPDATE from `peer`: withdraw `withdrawn`, then
+    /// announce `announced` with `path` (ignored when nothing is
+    /// announced).
+    fn update(peer: PeerId, withdrawn: &[Prefix], announced: &[Prefix], path: &[u32]) -> MrtRecord {
+        let path: Vec<Asn> = path.iter().copied().map(Asn).collect();
+        let message = mrt::Bgp4mpMessage {
+            peer_asn: peer.asn,
+            local_asn: Asn(6447),
+            interface_index: 0,
+            peer_addr: peer.addr,
+            local_addr: peer.addr,
+            update: Some(mrt::bgp::BgpUpdate {
+                withdrawn: withdrawn.to_vec(),
+                attrs: PathAttributes::with_path(bgp_types::AsPath::from_sequence(path)),
+                announced: announced.to_vec(),
+            }),
+        };
+        let header = mrt::MrtHeader {
+            timestamp: 1_280_620_900,
+            mrt_type: mrt::MrtType::Bgp4mp.code(),
+            subtype: mrt::record::bgp4mp_subtype::MESSAGE_AS4,
+            length: 0,
+        };
+        MrtRecord::new(header, MrtRecordBody::Bgp4mp(message))
+    }
+
+    #[test]
+    fn hostile_update_records_keep_the_extract_cache_exact() {
+        let prefix = |text: &str| text.parse::<Prefix>().unwrap();
+        let peer = |asn: u32, addr: &str| PeerId::new(Asn(asn), addr.parse().unwrap());
+        let (p1, p2, p6) =
+            (prefix("10.0.0.0/24"), prefix("10.0.1.0/24"), prefix("2001:db8:1::/48"));
+        let (a, b, fresh) =
+            (peer(100, "192.0.2.1"), peer(200, "2001:db8::2"), peer(800, "192.0.2.8"));
+        let mut base = RibSnapshot::new(CollectorId::new("rrc00"), 1_280_620_800);
+        for (peer, prefix, path) in
+            [(a, p1, vec![100, 300, 400]), (a, p2, vec![100, 300]), (b, p6, vec![200, 300, 500])]
+        {
+            let path: Vec<Asn> = path.into_iter().map(Asn).collect();
+            let attrs = PathAttributes::with_path(bgp_types::AsPath::from_sequence(path));
+            base.push(RibEntry::new(peer, prefix, attrs));
+        }
+
+        // (record, exact `changed`, exact `redundant`) per record.
+        let steps = [
+            // Withdrawals of never-announced routes: a prefix only another
+            // peer holds, and one nobody holds.
+            (update(a, &[p6, prefix("10.9.9.0/24")], &[], &[]), 0, 2),
+            // A duplicate announcement restates the table verbatim.
+            (update(a, &[], &[p1], &[100, 300, 400]), 0, 1),
+            // One message withdraws and re-announces the same prefix with
+            // the same attributes: the distinct IPv6 path's refcount drops
+            // to zero and comes back within the message.
+            (update(b, &[p6], &[p6], &[200, 300, 500]), 2, 0),
+            // ... and the same with a path change.
+            (update(a, &[p2], &[p2], &[100, 600, 300]), 2, 0),
+            // A peer that flaps twice inside one window, coming back on a
+            // different path the second time.
+            (update(a, &[p1], &[], &[]), 1, 0),
+            (update(a, &[], &[p1], &[100, 300, 400]), 1, 0),
+            (update(a, &[p1], &[], &[]), 1, 0),
+            (update(a, &[], &[p1], &[100, 700, 400]), 1, 0),
+            // Keys absent from the base snapshot: a new peer announces a
+            // clean path and a looped (discarded) one, then withdraws the
+            // looped one twice.
+            (update(fresh, &[], &[p1, p2], &[800, 400]), 2, 0),
+            (update(fresh, &[], &[p2], &[800, 300, 800]), 1, 0),
+            (update(fresh, &[p2], &[], &[]), 1, 0),
+            (update(fresh, &[p2], &[], &[]), 0, 1),
+        ];
+
+        let mut live = LiveRib::from_snapshot(&base);
+        let mut cache = ExtractCache::from_rib(&live);
+        assert_extract_matches(&cache, &live.snapshot());
+        let mut totals = ApplyStats::default();
+        for (i, (record, changed, redundant)) in steps.iter().enumerate() {
+            let mut stats = ApplyStats::default();
+            let deltas = live.apply_record(record, &mut stats);
+            assert_eq!((stats.changed, stats.redundant), (*changed, *redundant), "record {i}");
+            assert_eq!(deltas.len(), stats.changed, "record {i}: one delta per change");
+            for delta in &deltas {
+                cache.apply(delta);
+            }
+            assert_extract_matches(&cache, &live.snapshot());
+            totals.absorb(stats);
+        }
+        assert_eq!((totals.changed, totals.redundant), (12, 4));
+        assert_eq!((totals.announcements, totals.withdrawals), (8, 8));
+        // Base keys, plus the new peer's surviving clean route.
+        assert_eq!(live.len(), 4);
+        let routes: Vec<_> = live.routes().map(|(prefix, peer, _)| (*prefix, *peer)).collect();
+        assert!(routes.contains(&(p1, fresh)) && !routes.contains(&(p2, fresh)));
+    }
+
     #[test]
     fn update_stream_roundtrips_through_bytes() {
         let scenario = scenario();

@@ -186,18 +186,18 @@ pub struct PipelineOptions {
     /// Worker threads for the within-origin frontier expansion of any
     /// route propagation run on this pipeline's behalf (`0` = all cores,
     /// `1` — the default — = sequential level scans). The pipeline itself
-    /// consumes already-propagated snapshots; this field completes the
-    /// one-struct description of the execution stack so callers that
-    /// *do* build or rebuild scenarios for a run (the bench harness
-    /// resolves `HYBRID_FRONTIER` into it and into
-    /// `SimConfig::frontier_concurrency`) steer both levels from one
-    /// place. Execution only — never a byte of the report.
+    /// consumes already-propagated snapshots; callers that build or
+    /// rebuild scenarios for a run stamp it onto
+    /// `SimConfig::frontier_concurrency` through
+    /// [`configure_sim`](Self::configure_sim). Selectable from code only
+    /// (the experiment bins always run the default; the determinism
+    /// suite's `frontier_matrix_*` row covers the others). Execution only
+    /// — never a byte of the report.
     pub frontier_concurrency: usize,
-    /// How route propagation assigns origins to its workers (see
-    /// [`routesim::OriginScheduling`]): degree-aware LPT binning by
-    /// default, static striping as the reference schedule. Resolved into
-    /// `SimConfig::scheduling` by [`configure_sim`](Self::configure_sim);
-    /// execution only — never a byte of the report.
+    /// How route propagation assigns origins to its workers. There is one
+    /// schedule ([`routesim::OriginScheduling::Degree`]); the field and
+    /// [`with_scheduling`](Self::with_scheduling) remain only because the
+    /// end-to-end benchmark pins them by name.
     pub scheduling: routesim::OriginScheduling,
     /// Serve the pipeline's graph walks (hybrid detection, valley
     /// analysis, the correction sweep) from the frozen CSR mirror of the
@@ -705,10 +705,10 @@ mod tests {
         use routesim::OriginScheduling;
         assert_eq!(PipelineOptions::default().scheduling, OriginScheduling::Degree);
         let options =
-            PipelineOptions::with_concurrency(4).with_scheduling(OriginScheduling::Static);
-        assert_eq!(options.scheduling, OriginScheduling::Static);
+            PipelineOptions::with_concurrency(4).with_scheduling(OriginScheduling::Degree);
+        assert_eq!(options.scheduling, OriginScheduling::Degree);
         let sim = options.configure_sim(SimConfig::small());
-        assert_eq!(sim.scheduling, OriginScheduling::Static);
+        assert_eq!(sim.scheduling, OriginScheduling::Degree);
     }
 
     #[test]
@@ -726,7 +726,6 @@ mod tests {
         let sim = SimConfig::small()
             .with_concurrency(3)
             .with_frontier(5)
-            .with_scheduling(OriginScheduling::Static)
             .with_csr(false)
             .with_scenario(PolicyScenario::SubprefixHijack)
             .with_deployment(0.25);
@@ -766,13 +765,12 @@ mod tests {
                     removal_repair: false,
                 }));
             assert!(uncached == sequential, "concurrency={workers} uncached sweep diverged");
-            // Neither may the origin schedule or the removal-repair tier.
-            let static_schedule = render(
+            // Neither may the removal-repair tier.
+            let repair = render(
                 PipelineOptions::with_concurrency(workers)
-                    .with_scheduling(routesim::OriginScheduling::Static)
                     .with_sweep(SweepOptions::with_concurrency(workers).with_removal_repair(true)),
             );
-            assert!(static_schedule == sequential, "concurrency={workers} static/repair diverged");
+            assert!(repair == sequential, "concurrency={workers} removal repair diverged");
             // Nor may the graph backend: the adjacency-map reference path
             // must render the same bytes as the frozen CSR mirror.
             let map_backend = render(PipelineOptions::with_concurrency(workers).with_csr(false));

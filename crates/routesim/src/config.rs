@@ -75,17 +75,18 @@ pub struct SimConfig {
     /// knob is an execution detail with byte-identical output.
     pub frontier_concurrency: usize,
 
-    /// How origins are assigned to the propagation workers (see
-    /// [`OriginScheduling`]): degree-aware LPT binning by default,
-    /// static striping as the reference schedule. Like the worker
-    /// counts, an execution detail with byte-identical output.
+    /// How origins are assigned to the propagation workers. There is one
+    /// schedule, degree-aware LPT binning (see [`OriginScheduling`]); the
+    /// field and [`SimConfig::with_scheduling`] remain only because the
+    /// end-to-end benchmark pins them by name.
     pub scheduling: OriginScheduling,
 
     /// Run the propagation over the frozen CSR graph mirror (`true`, the
-    /// default) or the adjacency-map backend (`false`, the reference
-    /// path). Both backends visit neighbors in the same order, so this is
-    /// an execution detail with byte-identical output — the determinism
-    /// suite's map-vs-CSR dimension enforces it.
+    /// default) or the adjacency-map backend (`false`). Both backends
+    /// visit neighbors in the same order, so this is an execution detail
+    /// with byte-identical output — the determinism suite's
+    /// `backend_matrix_*` row enforces it. Selectable from code only: the
+    /// experiment bins always run the default.
     pub csr: bool,
 
     /// Propagate only every `origin_sample`-th eligible origin (after the

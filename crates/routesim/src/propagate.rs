@@ -74,20 +74,19 @@ use crate::shard::shard_frontier;
 
 /// How origins are assigned to the workers of [`propagate_origins`].
 ///
-/// Execution only, like every concurrency knob: both schedules merge
-/// outcomes back in origin order, so the selected routes — and therefore
-/// the report bytes — are identical whichever is picked.
+/// There is one schedule. The type, [`PropagationOptions::scheduling`],
+/// `SimConfig::scheduling` and the `with_scheduling` setters on
+/// `SimConfig` and `PipelineOptions` remain only because the end-to-end
+/// benchmark under `perfbench/` pins them by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum OriginScheduling {
-    /// Degree-aware LPT binning (the default): origins are weighted by
-    /// their out-degree on the propagated plane and assigned
-    /// longest-first to the least-loaded worker, so a handful of
-    /// high-degree origins cannot serialize a whole stripe behind them.
+    /// Degree-aware LPT binning: origins are weighted by their out-degree
+    /// on the propagated plane and assigned longest-first to the
+    /// least-loaded worker, so a handful of high-degree origins cannot
+    /// serialize the batch behind them. Outcomes merge back in origin
+    /// order, so the schedule is invisible in the output.
     #[default]
     Degree,
-    /// The original static striping (worker `w` takes origins
-    /// `w, w + workers, …`), kept as the reference schedule.
-    Static,
 }
 
 /// How an AS learned its best route towards the origin.
@@ -167,9 +166,9 @@ pub struct PropagationOptions {
     /// knob. Execution only: the selected routes are identical at every
     /// value (see [`PropagationOptions::same_route_model`]).
     pub frontier_concurrency: usize,
-    /// How [`propagate_origins`] assigns origins to its workers.
-    /// Execution only, like the worker counts: both schedules produce
-    /// the same outcomes in the same order.
+    /// How [`propagate_origins`] assigns origins to its workers — always
+    /// [`OriginScheduling::Degree`], the only schedule; kept because the
+    /// end-to-end benchmark builds these options as a struct literal.
     pub scheduling: OriginScheduling,
 }
 
@@ -194,11 +193,6 @@ impl PropagationOptions {
         PropagationOptions { frontier_concurrency, ..self }
     }
 
-    /// These options pinned to an origin-to-worker schedule.
-    pub fn with_scheduling(self, scheduling: OriginScheduling) -> Self {
-        PropagationOptions { scheduling, ..self }
-    }
-
     /// These options pinned to an adversarial scenario.
     pub fn with_scenario(self, scenario: PolicyScenario) -> Self {
         PropagationOptions { scenario, ..self }
@@ -213,11 +207,11 @@ impl PropagationOptions {
     /// that feeds route selection matches, ignoring the execution-only
     /// `frontier_concurrency` and `scheduling`. The scenario layer's
     /// propagation cache compares options with this (not `==`), so
-    /// retuning the frontier or scheduling knob between sweep points
-    /// neither invalidates cached outcomes nor smuggles an execution
-    /// detail into reuse decisions. The exhaustive destructuring makes a
-    /// new field refuse to compile until it is classified as route model
-    /// or execution detail.
+    /// retuning the frontier knob between sweep points neither
+    /// invalidates cached outcomes nor smuggles an execution detail into
+    /// reuse decisions. The exhaustive destructuring makes a new field
+    /// refuse to compile until it is classified as route model or
+    /// execution detail.
     pub fn same_route_model(&self, other: &PropagationOptions) -> bool {
         let PropagationOptions {
             reachability_relaxation,
@@ -937,11 +931,10 @@ fn deterministic_leak(
 /// scenario layer does this via `SimConfig::propagation_split`) so the
 /// two levels do not oversubscribe the host.
 ///
-/// `options.scheduling` picks how origins map onto the workers: the
-/// default [`OriginScheduling::Degree`] bins them by plane out-degree
-/// (LPT — an estimate of how wide the origin's climb/descent fans out),
-/// [`OriginScheduling::Static`] keeps the original striping. Both merge
-/// back in origin order, so the schedule is invisible in the output.
+/// Origins are binned onto the workers by plane out-degree (LPT — an
+/// estimate of how wide the origin's climb/descent fans out, see
+/// [`OriginScheduling::Degree`]) and merged back in origin order, so the
+/// schedule is invisible in the output.
 pub fn propagate_origins(
     graph: &AsGraph,
     origins: &[Asn],
@@ -957,17 +950,12 @@ pub fn propagate_origins(
     // per-origin rounds pure.
     let engine = PolicyEngine::build(graph, options.scenario, options.deployment);
     let context = PlaneContext::new(graph, plane, engine);
-    match options.scheduling {
-        OriginScheduling::Degree => crate::shard::shard_map_lpt(
-            origins,
-            workers,
-            |&origin| graph.degree(origin, plane) as u64,
-            |&origin| propagate_origin_with(&context, origin, options),
-        ),
-        OriginScheduling::Static => crate::shard::shard_map(origins, workers, |&origin| {
-            propagate_origin_with(&context, origin, options)
-        }),
-    }
+    crate::shard::shard_map_lpt(
+        origins,
+        workers,
+        |&origin| graph.degree(origin, plane) as u64,
+        |&origin| propagate_origin_with(&context, origin, options),
+    )
 }
 
 /// Is `candidate` better than the current route, given that the candidate
@@ -1321,7 +1309,6 @@ mod tests {
     fn same_route_model_ignores_only_the_execution_knobs() {
         let base = PropagationOptions { seed: 9, ..Default::default() };
         assert!(base.same_route_model(&base.with_frontier(8)));
-        assert!(base.same_route_model(&base.with_scheduling(OriginScheduling::Static)));
         assert!(!base.same_route_model(&PropagationOptions { seed: 10, ..base }));
         assert!(
             !base.same_route_model(&PropagationOptions { reachability_relaxation: true, ..base })
@@ -1332,40 +1319,6 @@ mod tests {
         assert!(!base.same_route_model(&base.with_scenario(PolicyScenario::RouteLeak)));
         assert!(!base
             .same_route_model(&base.with_deployment(PolicyDeployment { fraction: 0.5, seed: 0 })));
-    }
-
-    #[test]
-    fn both_schedules_match_sequential_at_every_worker_count() {
-        // The scheduling knob is the third execution dimension after
-        // origin and frontier workers: {Degree, Static} × worker counts
-        // must all reproduce the sequential outcome sequence exactly.
-        let g = fixture_graph();
-        let mut origins: Vec<Asn> = g.asns().collect();
-        origins.sort();
-        let variants = [
-            PropagationOptions::default(),
-            PropagationOptions {
-                reachability_relaxation: true,
-                leak_probability: 0.5,
-                seed: 7,
-                ..Default::default()
-            },
-        ];
-        for plane in IpVersion::BOTH {
-            for options in &variants {
-                let sequential = propagate_origins(&g, &origins, plane, options, 1);
-                for scheduling in [OriginScheduling::Degree, OriginScheduling::Static] {
-                    let options = options.with_scheduling(scheduling);
-                    for workers in [1usize, 2, 3, 8] {
-                        let parallel = propagate_origins(&g, &origins, plane, &options, workers);
-                        assert_eq!(
-                            parallel, sequential,
-                            "plane {plane:?}, scheduling {scheduling:?}, workers {workers}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -842,27 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_knob_is_invisible_in_scenario_outputs() {
-        use crate::propagate::OriginScheduling;
-        let degree = Scenario::build(
-            &TopologyConfig::tiny(),
-            &SimConfig::small().with_scheduling(OriginScheduling::Degree),
-        );
-        let statically = Scenario::build(
-            &TopologyConfig::tiny(),
-            &SimConfig::small().with_scheduling(OriginScheduling::Static),
-        );
-        assert_eq!(degree.snapshots, statically.snapshots);
-        assert_eq!(degree.registry, statically.registry);
-        // And a scheduling-only patch is the clone-and-patch fast path.
-        let patched = degree.rebuild_with(|s| s.scheduling = OriginScheduling::Static);
-        assert_eq!(patched.snapshots, degree.snapshots);
-        for plane in IpVersion::BOTH {
-            assert!(patched.propagation.shares_outcomes(&degree.propagation, plane));
-        }
-    }
-
-    #[test]
     fn rebuild_with_a_frontier_only_patch_reuses_everything() {
         let base = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
         // The frontier knob never reaches the outputs, so the rebuild is

@@ -81,29 +81,6 @@ fn frontier_matrix_produces_byte_identical_reports() {
 }
 
 #[test]
-fn scheduling_matrix_produces_byte_identical_reports() {
-    use hybrid_as_rel::sim::OriginScheduling;
-    // The origin-to-worker schedule is the third dimension of the
-    // execution stack (after origin and frontier workers): degree-aware
-    // LPT binning and static striping must both reproduce the bytes of
-    // the fully sequential run at every worker count.
-    let topology = TopologyConfig::tiny();
-    let sim = SimConfig::small();
-    let sequential = report_json(&topology, &sim, 1);
-    for scheduling in [OriginScheduling::Static, OriginScheduling::Degree] {
-        for concurrency in [1usize, 2, 8] {
-            let pinned = sim.clone().with_scheduling(scheduling);
-            let report = report_json(&topology, &pinned, concurrency);
-            assert!(
-                report == sequential,
-                "scheduling={scheduling:?} concurrency={concurrency} diverged from the \
-                 sequential report"
-            );
-        }
-    }
-}
-
-#[test]
 fn scenario_matrix_produces_byte_identical_reports() {
     use hybrid_as_rel::sim::PolicyScenario;
     // Adversarial scenarios are *output* knobs — a route leak or hijack
@@ -147,11 +124,11 @@ fn scenario_matrix_produces_byte_identical_reports() {
 
 #[test]
 fn backend_matrix_produces_byte_identical_reports() {
-    // The graph backend is the fourth dimension of the execution stack:
-    // the frozen flat CSR arrays and the mutable adjacency maps must
-    // serve identical neighbor orders, so every (backend × worker count)
-    // combination reproduces the bytes of the sequential map-backend
-    // run.
+    // The graph backend is the third dimension of the execution stack,
+    // after origin and frontier workers: the frozen flat CSR arrays and
+    // the mutable adjacency maps must serve identical neighbor orders,
+    // so every (backend × worker count) combination reproduces the
+    // bytes of the sequential map-backend run.
     let topology = TopologyConfig::tiny();
     let sim = SimConfig::small();
     let render = |csr: bool, concurrency: usize| {
