@@ -46,7 +46,8 @@ pub fn degree_stats(graph: &AsGraph, plane: IpVersion) -> DegreeStats {
 }
 
 /// Connected components of the plane's link graph (ignoring relationship
-/// annotations), largest first. Each component is a sorted list of ASNs.
+/// annotations), largest first, equal sizes by lowest ASN. Each component
+/// is a sorted list of ASNs, so the result does not depend on node ids.
 pub fn connected_components(graph: &AsGraph, plane: IpVersion) -> Vec<Vec<Asn>> {
     let n = graph.node_count();
     let mut seen = vec![false; n];
@@ -71,7 +72,7 @@ pub fn connected_components(graph: &AsGraph, plane: IpVersion) -> Vec<Vec<Asn>> 
         members.sort();
         components.push(members);
     }
-    components.sort_by_key(|c| std::cmp::Reverse(c.len()));
+    components.sort_by_key(|c| (std::cmp::Reverse(c.len()), c[0]));
     components
 }
 
@@ -185,6 +186,22 @@ mod tests {
         // The v4 plane has a single component.
         assert_eq!(connected_components(&g, IpVersion::V4).len(), 1);
         assert!(connected_components(&AsGraph::new(), IpVersion::V4).is_empty());
+    }
+
+    #[test]
+    fn equal_size_components_do_not_depend_on_insertion_order() {
+        let build = |links: &[(Asn, Asn)]| {
+            let mut g = AsGraph::new();
+            for &(a, b) in links {
+                g.observe_link(a, b, IpVersion::V6);
+            }
+            connected_components(&g, IpVersion::V6)
+        };
+        let mut links = [(Asn(30), Asn(31)), (Asn(20), Asn(21)), (Asn(10), Asn(11))];
+        let forward = build(&links);
+        links.reverse();
+        assert_eq!(forward, build(&links));
+        assert_eq!(forward[0], vec![Asn(10), Asn(11)]);
     }
 
     #[test]

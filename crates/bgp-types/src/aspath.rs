@@ -176,23 +176,39 @@ impl AsPath {
         AsPath { segments }
     }
 
+    /// The ASNs of [`AsPath::deprepended`], in order, without building
+    /// that path: adjacent duplicates inside a sequence segment collapse,
+    /// AS_SET members pass through in stored order.
+    pub fn hops(&self) -> impl Iterator<Item = Asn> + '_ {
+        self.segments.iter().flat_map(|seg| {
+            let asns = seg.asns();
+            let set = seg.is_set();
+            asns.iter()
+                .enumerate()
+                .filter(move |&(i, a)| set || i == 0 || asns[i - 1] != *a)
+                .map(|(_, &a)| a)
+        })
+    }
+
     /// True if any ASN appears twice in *non-adjacent* positions after
     /// de-prepending — a routing loop artifact that the measurement
     /// pipeline discards.
     pub fn has_loop(&self) -> bool {
-        let flat: Vec<Asn> = self.deprepended().asns().collect();
-        let mut seen = std::collections::HashSet::with_capacity(flat.len());
-        for a in flat {
-            if !seen.insert(a) {
-                return true;
-            }
-        }
-        false
+        let mut hops: Vec<Asn> = self.hops().collect();
+        hops.sort_unstable();
+        hops.windows(2).any(|w| w[0] == w[1])
     }
 
     /// True if the path contains any reserved/private/documentation ASN.
     pub fn has_reserved_asn(&self) -> bool {
         self.asns().any(|a| a.is_reserved())
+    }
+
+    /// True if the path is unusable for topology measurement: empty, a
+    /// loop, or a reserved ASN. (AS_SET paths are usable but the link
+    /// extraction skips the set hops.)
+    pub fn is_bogus(&self) -> bool {
+        self.is_empty() || self.has_loop() || self.has_reserved_asn()
     }
 
     /// True if any segment is an AS_SET.
@@ -205,16 +221,16 @@ impl AsPath {
     /// the true adjacency is unknown after aggregation. Pairs are oriented
     /// observation-side first: `(closer to collector, closer to origin)`.
     pub fn links(&self) -> impl Iterator<Item = (Asn, Asn)> + '_ {
-        let dep = self.deprepended();
-        let mut pairs = Vec::new();
-        for seg in dep.segments {
-            if let AsPathSegment::Sequence(v) = seg {
-                for w in v.windows(2) {
-                    pairs.push((w[0], w[1]));
-                }
-            }
-        }
-        pairs.into_iter()
+        // The windows of a de-prepended sequence are exactly the raw
+        // windows whose two ASNs differ.
+        self.segments
+            .iter()
+            .filter_map(|seg| match seg {
+                AsPathSegment::Sequence(v) => Some(v),
+                AsPathSegment::Set(_) => None,
+            })
+            .flat_map(|v| v.windows(2).map(|w| (w[0], w[1])))
+            .filter(|(a, b)| a != b)
     }
 
     /// Prepend an ASN at the front (what an AS does when exporting a route
@@ -372,6 +388,8 @@ mod tests {
         assert!(!"1 1 2 3 3".parse::<AsPath>().unwrap().has_loop());
         assert!("1 2 1".parse::<AsPath>().unwrap().has_loop());
         assert!("1 2 3 2 4".parse::<AsPath>().unwrap().has_loop());
+        // A set member repeating a sequence hop is a loop too.
+        assert!("1 2 {2,3}".parse::<AsPath>().unwrap().has_loop());
     }
 
     #[test]

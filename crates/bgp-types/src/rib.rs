@@ -129,15 +129,6 @@ impl RibEntry {
     pub fn origin_asn(&self) -> Option<Asn> {
         self.attrs.as_path.origin()
     }
-
-    /// True if the AS path is unusable for topology measurement: empty,
-    /// loops, or contains reserved ASNs. (AS_SET paths are usable but the
-    /// link extraction skips the set hops.)
-    pub fn has_bogus_path(&self) -> bool {
-        self.attrs.as_path.is_empty()
-            || self.attrs.as_path.has_loop()
-            || self.attrs.as_path.has_reserved_asn()
-    }
 }
 
 impl fmt::Display for RibEntry {
@@ -245,7 +236,7 @@ mod tests {
         let e = entry(v6_peer(6939), "2001:db8::/32", "6939 2914 3333");
         assert_eq!(e.plane(), IpVersion::V6);
         assert_eq!(e.origin_asn(), Some(Asn(3333)));
-        assert!(!e.has_bogus_path());
+        assert!(!e.attrs.as_path.is_bogus());
         assert_eq!(e.source, RouteSource::MrtTableDump);
         let shown = e.to_string();
         assert!(shown.contains("2001:db8::/32"));
@@ -256,13 +247,13 @@ mod tests {
     fn bogus_path_detection() {
         let empty =
             RibEntry::new(v4_peer(1), "10.0.0.0/8".parse().unwrap(), PathAttributes::originated());
-        assert!(empty.has_bogus_path());
+        assert!(empty.attrs.as_path.is_bogus());
         let looped = entry(v4_peer(1), "10.0.0.0/8", "1 2 1");
-        assert!(looped.has_bogus_path());
+        assert!(looped.attrs.as_path.is_bogus());
         let private = entry(v4_peer(1), "10.0.0.0/8", "1 64512 2");
-        assert!(private.has_bogus_path());
+        assert!(private.attrs.as_path.is_bogus());
         let fine = entry(v4_peer(1), "10.0.0.0/8", "1 2 3");
-        assert!(!fine.has_bogus_path());
+        assert!(!fine.attrs.as_path.is_bogus());
     }
 
     #[test]

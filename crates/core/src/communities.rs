@@ -99,11 +99,11 @@ impl CommunityInference {
     pub fn from_snapshot(snapshot: &RibSnapshot, dictionary: &CommunityDictionary) -> Self {
         let mut inference = CommunityInference::default();
         for entry in &snapshot.entries {
-            if entry.has_bogus_path() {
+            if entry.attrs.as_path.is_bogus() {
                 continue;
             }
             let plane = entry.plane();
-            let path: Vec<Asn> = entry.attrs.as_path.deprepended().asns().collect();
+            let path: Vec<Asn> = entry.attrs.as_path.hops().collect();
             for (tagger, tag) in dictionary.relationship_assertions(&entry.attrs.communities) {
                 // The tagger must be on the path and must have a neighbor
                 // towards the origin.

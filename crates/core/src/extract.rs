@@ -1,11 +1,20 @@
 //! Extraction of AS paths and AS links from collector RIB snapshots.
+//!
+//! One engine, [`ExtractCache`], counts what the paper's cleaning step
+//! extracts: de-prepended AS paths, per-plane links and per-link IPv6
+//! path visibility. Batch [`extract`] seeds it from a snapshot; streaming
+//! ingest seeds it from a [`LiveRib`] and keeps it current by applying
+//! [`RibDelta`]s.
 
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use asgraph::AsGraph;
-use bgp_types::{Asn, IpVersion, RibEntry, RibSnapshot};
+use bgp_types::{AsPath, Asn, IpVersion, RibSnapshot};
+
+use crate::ingest::{LiveRib, RibDelta};
 
 /// One distinct observed AS path on one plane, with how many RIB entries
 /// carried it.
@@ -60,77 +69,188 @@ impl ExtractedData {
 
     /// The number of distinct IPv6 paths that traverse the given link.
     pub fn v6_link_visibility(&self, a: Asn, b: Asn) -> usize {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.v6_link_path_count.get(&key).copied().unwrap_or(0)
+        self.v6_link_path_count.get(&link_key(a, b)).copied().unwrap_or(0)
     }
 }
 
-/// Extract paths and links from a pooled snapshot.
+/// The canonical key of the undirected link between `a` and `b`: lower
+/// ASN first.
+pub(crate) fn link_key(a: Asn, b: Asn) -> (Asn, Asn) {
+    if a <= b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// Extract paths and links from a pooled snapshot:
+/// [`ExtractCache::from_snapshot`] followed by
+/// [`ExtractCache::materialize`].
 ///
 /// Paths are de-prepended and deduplicated; entries whose AS path is bogus
 /// (empty, contains a loop after de-prepending, or contains reserved ASNs)
 /// are discarded, as the paper's data cleaning does. Links adjacent to
 /// AS_SET segments are not extracted because the true adjacency is unknown.
+/// The result depends only on the multiset of entries, not their order.
 pub fn extract(snapshot: &RibSnapshot) -> ExtractedData {
-    let mut data = ExtractedData::default();
-    let mut seen_paths: HashMap<(IpVersion, Vec<Asn>), usize> = HashMap::new();
-
-    for entry in &snapshot.entries {
-        if entry.has_bogus_path() {
-            data.discarded_entries += 1;
-            continue;
-        }
-        let plane = entry.plane();
-        match plane {
-            IpVersion::V4 => data.entries_v4 += 1,
-            IpVersion::V6 => data.entries_v6 += 1,
-        }
-        record_entry(&mut data, &mut seen_paths, entry, plane);
-    }
-
-    // Materialise the deduplicated paths.
-    let mut paths: Vec<((IpVersion, Vec<Asn>), usize)> = seen_paths.into_iter().collect();
-    paths.sort_by(|a, b| a.0.cmp(&b.0));
-    for ((plane, path), occurrences) in paths {
-        let observed = ObservedPath { path, occurrences };
-        match plane {
-            IpVersion::V4 => data.paths_v4.push(observed),
-            IpVersion::V6 => data.paths_v6.push(observed),
-        }
-    }
-
-    // Per-link IPv6 path visibility over *distinct* paths.
-    for observed in &data.paths_v6 {
-        for pair in observed.path.windows(2) {
-            let key = if pair[0] <= pair[1] { (pair[0], pair[1]) } else { (pair[1], pair[0]) };
-            *data.v6_link_path_count.entry(key).or_insert(0) += 1;
-        }
-    }
-    data
+    ExtractCache::from_snapshot(snapshot).materialize()
 }
 
-fn record_entry(
-    data: &mut ExtractedData,
-    seen_paths: &mut HashMap<(IpVersion, Vec<Asn>), usize>,
-    entry: &RibEntry,
-    plane: IpVersion,
-) {
-    let deprepended = entry.attrs.as_path.deprepended();
-    // Links (pairs inside sequence segments only).
-    for (a, b) in entry.attrs.as_path.links() {
-        data.graph.observe_link(a, b, plane);
+/// One plane's extraction counters.
+#[derive(Debug, Clone, Default)]
+struct PlaneCounts {
+    entries: usize,
+    /// Distinct de-prepended paths (AS_SET members flattened in stored
+    /// order) with the number of entries carrying each.
+    paths: BTreeMap<Vec<Asn>, usize>,
+    /// Link references, keyed by [`link_key`].
+    links: BTreeMap<(Asn, Asn), usize>,
+}
+
+/// The extraction engine: per-plane entry counters, distinct de-prepended
+/// paths with occurrence counts, link reference counts and the per-link
+/// distinct-IPv6-path visibility.
+///
+/// Batch [`extract`] seeds it from a snapshot; a streaming session seeds it
+/// from a [`LiveRib`] and folds each [`RibDelta`] into it, at a cost
+/// proportional to the changed route's path length, not to the table.
+/// Every entry goes through the same add path, so the counters — and what
+/// [`ExtractCache::materialize`] builds from them — depend only on the
+/// multiset of routes counted.
+#[derive(Debug, Clone, Default)]
+pub struct ExtractCache {
+    discarded: usize,
+    v4: PlaneCounts,
+    v6: PlaneCounts,
+    /// Distinct IPv6 paths per link, over flattened hops.
+    v6_path_links: BTreeMap<(Asn, Asn), usize>,
+}
+
+impl ExtractCache {
+    /// Count every entry of a snapshot, duplicates included.
+    pub fn from_snapshot(snapshot: &RibSnapshot) -> Self {
+        Self::from_routes(snapshot.entries.iter().map(|e| (e.plane(), &e.attrs.as_path)))
     }
-    // Full flattened path for path-level statistics; paths containing sets
-    // still count as paths (the paper counts them) but their set members
-    // are flattened in stored order.
-    let flat: Vec<Asn> = deprepended.asns().collect();
-    *seen_paths.entry((plane, flat)).or_insert(0) += 1;
+
+    /// Count every route of a resident table.
+    pub fn from_rib(rib: &LiveRib) -> Self {
+        Self::from_routes(rib.routes().map(|(prefix, _, attrs)| (prefix.version(), &attrs.as_path)))
+    }
+
+    fn from_routes<'a>(routes: impl Iterator<Item = (IpVersion, &'a AsPath)>) -> Self {
+        let mut cache = ExtractCache::default();
+        for (plane, path) in routes {
+            cache.add(plane, path);
+        }
+        cache
+    }
+
+    /// Fold one route-level change into the counters.
+    pub fn apply(&mut self, delta: &RibDelta) {
+        let plane = delta.prefix.version();
+        if let Some(old) = &delta.old {
+            self.remove(plane, &old.as_path);
+        }
+        if let Some(new) = &delta.new {
+            self.add(plane, &new.as_path);
+        }
+    }
+
+    fn add(&mut self, plane: IpVersion, path: &AsPath) {
+        if path.is_bogus() {
+            self.discarded += 1;
+            return;
+        }
+        let counts = match plane {
+            IpVersion::V4 => &mut self.v4,
+            IpVersion::V6 => &mut self.v6,
+        };
+        counts.entries += 1;
+        for (a, b) in path.links() {
+            *counts.links.entry(link_key(a, b)).or_insert(0) += 1;
+        }
+        match counts.paths.entry(path.hops().collect()) {
+            Entry::Occupied(mut seen) => *seen.get_mut() += 1,
+            Entry::Vacant(new) => {
+                // A new distinct IPv6 path raises the visibility of every
+                // link it traverses, over flattened hops.
+                if plane == IpVersion::V6 {
+                    for pair in new.key().windows(2) {
+                        *self.v6_path_links.entry(link_key(pair[0], pair[1])).or_insert(0) += 1;
+                    }
+                }
+                new.insert(1);
+            }
+        }
+    }
+
+    fn remove(&mut self, plane: IpVersion, path: &AsPath) {
+        if path.is_bogus() {
+            self.discarded -= 1;
+            return;
+        }
+        let counts = match plane {
+            IpVersion::V4 => &mut self.v4,
+            IpVersion::V6 => &mut self.v6,
+        };
+        counts.entries -= 1;
+        for (a, b) in path.links() {
+            release(&mut counts.links, &link_key(a, b));
+        }
+        let hops: Vec<Asn> = path.hops().collect();
+        if release(&mut counts.paths, &hops) && plane == IpVersion::V6 {
+            for pair in hops.windows(2) {
+                release(&mut self.v6_path_links, &link_key(pair[0], pair[1]));
+            }
+        }
+    }
+
+    /// Materialise the counters as [`ExtractedData`]. The graph inserts the
+    /// IPv4 links in sorted order, then the IPv6 links, so node and edge
+    /// ids depend only on the counted routes: batch and streaming
+    /// extraction of the same table build the same graph.
+    pub fn materialize(&self) -> ExtractedData {
+        let mut data = ExtractedData {
+            entries_v4: self.v4.entries,
+            entries_v6: self.v6.entries,
+            discarded_entries: self.discarded,
+            ..Default::default()
+        };
+        for (plane, counts) in [(IpVersion::V4, &self.v4), (IpVersion::V6, &self.v6)] {
+            for &(a, b) in counts.links.keys() {
+                data.graph.observe_link(a, b, plane);
+            }
+        }
+        let observed = |counts: &PlaneCounts| -> Vec<ObservedPath> {
+            counts
+                .paths
+                .iter()
+                .map(|(path, &occurrences)| ObservedPath { path: path.clone(), occurrences })
+                .collect()
+        };
+        data.paths_v4 = observed(&self.v4);
+        data.paths_v6 = observed(&self.v6);
+        data.v6_link_path_count = self.v6_path_links.iter().map(|(&k, &v)| (k, v)).collect();
+        data
+    }
+}
+
+/// Drop one reference to `key`, forgetting it at zero; true when that was
+/// the last reference. Every released key was counted by an add.
+fn release<K: Ord>(counts: &mut BTreeMap<K, usize>, key: &K) -> bool {
+    let count = counts.get_mut(key).expect("released key was counted on add");
+    *count -= 1;
+    let last = *count == 0;
+    if last {
+        counts.remove(key);
+    }
+    last
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_types::{CollectorId, PathAttributes, PeerId, Prefix};
+    use bgp_types::{CollectorId, PathAttributes, PeerId, Prefix, RibEntry};
     use std::net::IpAddr;
 
     fn entry(peer_asn: u32, peer_addr: &str, prefix: &str, path: &str) -> RibEntry {
@@ -221,6 +341,34 @@ mod tests {
         assert_eq!(data.v6_link_visibility(Asn(10), Asn(20)), 2);
         assert_eq!(data.v6_link_visibility(Asn(20), Asn(40)), 1);
         assert_eq!(data.v6_link_visibility(Asn(99), Asn(100)), 0);
+    }
+
+    #[test]
+    fn entry_order_does_not_change_the_extraction() {
+        let entries = vec![
+            entry(10, "2001:db8::1", "2001:db8:100::/48", "10 20 30"),
+            entry(11, "192.0.2.2", "198.51.100.0/24", "11 40 30"),
+            entry(10, "2001:db8::1", "2001:db8:200::/48", "10 10 50 {60,61}"),
+            entry(10, "192.0.2.1", "198.51.101.0/24", "10 20 10"),
+            entry(12, "2001:db8::3", "2001:db8:100::/48", "12 20 30"),
+        ];
+        let forward = extract(&snapshot(entries.clone()));
+        let reversed = extract(&snapshot(entries.into_iter().rev().collect()));
+        assert_eq!(forward.paths_v4, reversed.paths_v4);
+        assert_eq!(forward.paths_v6, reversed.paths_v6);
+        assert_eq!(forward.v6_link_path_count, reversed.v6_link_path_count);
+        assert_eq!(
+            (forward.entries_v4, forward.entries_v6, forward.discarded_entries),
+            (reversed.entries_v4, reversed.entries_v6, reversed.discarded_entries)
+        );
+        let asns = |data: &ExtractedData| data.graph.asns().collect::<Vec<_>>();
+        assert_eq!(asns(&forward), asns(&reversed), "node order");
+        for plane in IpVersion::BOTH {
+            let edges = |data: &ExtractedData| {
+                data.graph.plane_edges(plane).map(|e| (e.a, e.b)).collect::<Vec<_>>()
+            };
+            assert_eq!(edges(&forward), edges(&reversed), "{plane} edges");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use bgp_types::{Asn, IpVersion, RelationshipPair};
 use topogen::HybridClass;
 
 use crate::communities::CommunityInference;
-use crate::extract::ExtractedData;
+use crate::extract::{link_key, ExtractedData};
 
 /// One detected hybrid link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,7 +89,7 @@ pub fn detect_hybrids(data: &ExtractedData, inference: &CommunityInference) -> H
 
     let mut hybrid_links: HashSet<(Asn, Asn)> = HashSet::new();
     for edge in data.graph.dual_stack_edges() {
-        let (a, b) = if edge.a <= edge.b { (edge.a, edge.b) } else { (edge.b, edge.a) };
+        let (a, b) = link_key(edge.a, edge.b);
         let Some(v4) = inference.relationship(a, b, IpVersion::V4) else { continue };
         let Some(v6) = inference.relationship(a, b, IpVersion::V6) else { continue };
         report.dual_stack_classified += 1;
@@ -124,12 +124,7 @@ pub fn detect_hybrids(data: &ExtractedData, inference: &CommunityInference) -> H
     report.ipv6_paths_with_hybrid = data
         .paths_v6
         .iter()
-        .filter(|p| {
-            p.path.windows(2).any(|w| {
-                let key = if w[0] <= w[1] { (w[0], w[1]) } else { (w[1], w[0]) };
-                hybrid_links.contains(&key)
-            })
-        })
+        .filter(|p| p.path.windows(2).any(|w| hybrid_links.contains(&link_key(w[0], w[1]))))
         .count();
 
     report.findings.sort_by(|x, y| {
@@ -292,12 +287,8 @@ mod tests {
         let data = extract(&scenario.merged_snapshot());
         let report = detect_hybrids_from_graph(&data, &scenario.truth.graph);
         // Every finding must correspond to an injected hybrid link.
-        let injected: HashSet<(Asn, Asn)> = scenario
-            .truth
-            .hybrid_links
-            .iter()
-            .map(|l| if l.a <= l.b { (l.a, l.b) } else { (l.b, l.a) })
-            .collect();
+        let injected: HashSet<(Asn, Asn)> =
+            scenario.truth.hybrid_links.iter().map(|l| link_key(l.a, l.b)).collect();
         for f in &report.findings {
             assert!(injected.contains(&(f.a, f.b)), "{}-{} not injected", f.a, f.b);
         }

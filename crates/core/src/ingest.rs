@@ -16,12 +16,11 @@
 //!   zero-copy from raw MRT bytes ([`UpdateStream::from_bytes`]) or
 //!   wrapped around synthesised windows
 //!   (`routesim::Scenario::update_stream`).
-//! * [`ExtractCache`] — an incrementally maintained mirror of
-//!   [`crate::extract::extract`]'s output: per-plane entry counters,
-//!   distinct de-prepended paths with occurrence counts, link reference
-//!   counts and the per-link distinct-IPv6-path visibility. Applying a
-//!   [`RibDelta`] costs work proportional to the changed route, not the
-//!   table.
+//! * [`RibDelta`] — one route-level change. A session seeds
+//!   [`ExtractCache`] — the extraction engine batch
+//!   [`crate::extract::extract`] also runs — from the table once, then
+//!   folds each delta in at a cost proportional to the changed route, not
+//!   the table.
 //! * [`ValleyCache`] — per-head valley-free [`DistanceMap`]s reused
 //!   across windows. When the annotated graph changes between windows by
 //!   pure relationship *additions*, every cached map is repaired in place
@@ -52,7 +51,7 @@ use irr::CommunityDictionary;
 use mrt::{MrtBytesReader, MrtError, MrtRecord, MrtRecordBody};
 use topogen::GroundTruth;
 
-use crate::extract::{ExtractedData, ObservedPath};
+use crate::extract::{link_key, ExtractCache, ExtractedData};
 use crate::pipeline::{Pipeline, PipelineInput};
 use crate::report::Report;
 use crate::valley::{analyze_valleys_impl, ValleyReport};
@@ -260,162 +259,6 @@ impl UpdateStream {
     }
 }
 
-fn is_bogus(attrs: &PathAttributes) -> bool {
-    attrs.as_path.is_empty() || attrs.as_path.has_loop() || attrs.as_path.has_reserved_asn()
-}
-
-fn canonical(a: Asn, b: Asn) -> (Asn, Asn) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// An incrementally maintained mirror of the extraction stage.
-///
-/// [`ExtractCache::materialize`] produces an [`ExtractedData`] equal — in
-/// every report-visible respect — to running
-/// [`crate::extract::extract`] over the corresponding
-/// [`LiveRib::snapshot`], but applying one [`RibDelta`] costs work
-/// proportional to the changed route's path length, not to the table.
-#[derive(Debug, Clone, Default)]
-pub struct ExtractCache {
-    entries_v4: usize,
-    entries_v6: usize,
-    discarded: usize,
-    paths_v4: BTreeMap<Vec<Asn>, usize>,
-    paths_v6: BTreeMap<Vec<Asn>, usize>,
-    links_v4: BTreeMap<(Asn, Asn), usize>,
-    links_v6: BTreeMap<(Asn, Asn), usize>,
-    v6_path_links: BTreeMap<(Asn, Asn), usize>,
-}
-
-impl ExtractCache {
-    /// Seed the cache from a resident table.
-    pub fn from_rib(rib: &LiveRib) -> Self {
-        let mut cache = ExtractCache::default();
-        for (prefix, _, attrs) in rib.routes() {
-            cache.add(prefix.version(), attrs);
-        }
-        cache
-    }
-
-    /// Fold one route-level change into the counters.
-    pub fn apply(&mut self, delta: &RibDelta) {
-        let plane = delta.prefix.version();
-        if let Some(old) = &delta.old {
-            self.remove(plane, old);
-        }
-        if let Some(new) = &delta.new {
-            self.add(plane, new);
-        }
-    }
-
-    fn add(&mut self, plane: IpVersion, attrs: &PathAttributes) {
-        if is_bogus(attrs) {
-            self.discarded += 1;
-            return;
-        }
-        match plane {
-            IpVersion::V4 => self.entries_v4 += 1,
-            IpVersion::V6 => self.entries_v6 += 1,
-        }
-        let flat: Vec<Asn> = attrs.as_path.deprepended().asns().collect();
-        let paths = match plane {
-            IpVersion::V4 => &mut self.paths_v4,
-            IpVersion::V6 => &mut self.paths_v6,
-        };
-        let occurrences = paths.entry(flat.clone()).or_insert(0);
-        *occurrences += 1;
-        if *occurrences == 1 && plane == IpVersion::V6 {
-            // A new distinct IPv6 path raises the visibility of every
-            // link it traverses — over flattened hops, exactly as
-            // `extract` counts them.
-            for pair in flat.windows(2) {
-                *self.v6_path_links.entry(canonical(pair[0], pair[1])).or_insert(0) += 1;
-            }
-        }
-        let links = match plane {
-            IpVersion::V4 => &mut self.links_v4,
-            IpVersion::V6 => &mut self.links_v6,
-        };
-        for (a, b) in attrs.as_path.links() {
-            *links.entry(canonical(a, b)).or_insert(0) += 1;
-        }
-    }
-
-    fn remove(&mut self, plane: IpVersion, attrs: &PathAttributes) {
-        if is_bogus(attrs) {
-            self.discarded -= 1;
-            return;
-        }
-        match plane {
-            IpVersion::V4 => self.entries_v4 -= 1,
-            IpVersion::V6 => self.entries_v6 -= 1,
-        }
-        let flat: Vec<Asn> = attrs.as_path.deprepended().asns().collect();
-        let paths = match plane {
-            IpVersion::V4 => &mut self.paths_v4,
-            IpVersion::V6 => &mut self.paths_v6,
-        };
-        let occurrences = paths.get_mut(&flat).expect("removed path was added");
-        *occurrences -= 1;
-        if *occurrences == 0 {
-            paths.remove(&flat);
-            if plane == IpVersion::V6 {
-                for pair in flat.windows(2) {
-                    let key = canonical(pair[0], pair[1]);
-                    let count = self.v6_path_links.get_mut(&key).expect("counted on add");
-                    *count -= 1;
-                    if *count == 0 {
-                        self.v6_path_links.remove(&key);
-                    }
-                }
-            }
-        }
-        let links = match plane {
-            IpVersion::V4 => &mut self.links_v4,
-            IpVersion::V6 => &mut self.links_v6,
-        };
-        for (a, b) in attrs.as_path.links() {
-            let key = canonical(a, b);
-            let count = links.get_mut(&key).expect("counted on add");
-            *count -= 1;
-            if *count == 0 {
-                links.remove(&key);
-            }
-        }
-    }
-
-    /// Materialise the counters as [`ExtractedData`]. The graph inserts
-    /// links in sorted order (not first-seen order, as a fresh extraction
-    /// would), which permutes internal node ids but no report byte — every
-    /// downstream consumer sorts or counts.
-    pub fn materialize(&self) -> ExtractedData {
-        let mut data = ExtractedData {
-            entries_v4: self.entries_v4,
-            entries_v6: self.entries_v6,
-            discarded_entries: self.discarded,
-            ..Default::default()
-        };
-        for &(a, b) in self.links_v4.keys() {
-            data.graph.observe_link(a, b, IpVersion::V4);
-        }
-        for &(a, b) in self.links_v6.keys() {
-            data.graph.observe_link(a, b, IpVersion::V6);
-        }
-        for (path, &occurrences) in &self.paths_v4 {
-            data.paths_v4.push(ObservedPath { path: path.clone(), occurrences });
-        }
-        for (path, &occurrences) in &self.paths_v6 {
-            data.paths_v6.push(ObservedPath { path: path.clone(), occurrences });
-        }
-        data.v6_link_path_count = self.v6_path_links.iter().map(|(&k, &v)| (k, v)).collect();
-        data
-    }
-}
-
 /// Counters over one window's valley-cache maintenance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
@@ -478,7 +321,7 @@ impl ValleyCache {
         let new_nodes: Vec<Asn> = annotated.asns().collect();
         let mut new_edges: BTreeMap<(Asn, Asn), Relationship> = BTreeMap::new();
         for edge in annotated.plane_edges(plane) {
-            let (a, b) = canonical(edge.a, edge.b);
+            let (a, b) = link_key(edge.a, edge.b);
             if let Some(rel) = annotated.relationship(a, b, plane) {
                 new_edges.insert((a, b), rel);
             }
@@ -708,16 +551,14 @@ mod tests {
         assert_eq!(incremental.paths_v4, fresh.paths_v4);
         assert_eq!(incremental.paths_v6, fresh.paths_v6);
         assert_eq!(incremental.v6_link_path_count, fresh.v6_link_path_count);
+        // One engine, one graph layout: node ids and edge lists match too.
+        let asns = |data: &ExtractedData| data.graph.asns().collect::<Vec<_>>();
+        assert_eq!(asns(&incremental), asns(&fresh), "node order");
         for plane in IpVersion::BOTH {
-            assert_eq!(incremental.link_count(plane), fresh.link_count(plane));
-            for edge in fresh.graph.plane_edges(plane) {
-                assert!(
-                    incremental.graph.has_link(edge.a, edge.b, plane),
-                    "missing {}-{} on {plane}",
-                    edge.a,
-                    edge.b
-                );
-            }
+            let edges = |data: &ExtractedData| {
+                data.graph.plane_edges(plane).map(|e| (e.a, e.b)).collect::<Vec<_>>()
+            };
+            assert_eq!(edges(&incremental), edges(&fresh), "{plane} edges");
         }
     }
 

@@ -62,12 +62,12 @@ pub mod valley;
 
 pub use baselines::{degree_heuristic_inference, gao_inference, InferenceAccuracy};
 pub use communities::{CommunityInference, InferenceSource, InferredRelationship};
-pub use extract::{ExtractedData, ObservedPath};
+pub use extract::{ExtractCache, ExtractedData, ObservedPath};
 pub use hybrid::{HybridFinding, HybridReport};
 pub use impact::{CorrectionStep, ImpactCurve};
 pub use ingest::{
-    ApplyStats, ExtractCache, IngestCaches, LiveRib, RepairStats, RibDelta, TemporalSweep,
-    UpdateStream, ValleyCache, WindowOutcome,
+    ApplyStats, IngestCaches, LiveRib, RepairStats, RibDelta, TemporalSweep, UpdateStream,
+    ValleyCache, WindowOutcome,
 };
 pub use locpref::LocPrfRosetta;
 pub use pipeline::{

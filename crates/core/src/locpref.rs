@@ -42,7 +42,7 @@ impl LocPrfRosetta {
         let mut observations: HashMap<(Asn, IpVersion, u32), HashSet<Relationship>> =
             HashMap::new();
         for entry in &snapshot.entries {
-            if entry.has_bogus_path() {
+            if entry.attrs.as_path.is_bogus() {
                 continue;
             }
             let Some(locpref) = entry.attrs.local_pref else { continue };
@@ -50,7 +50,7 @@ impl LocPrfRosetta {
                 rosetta.te_filtered_routes += 1;
                 continue;
             }
-            let path: Vec<Asn> = entry.attrs.as_path.deprepended().asns().collect();
+            let path: Vec<Asn> = entry.attrs.as_path.hops().collect();
             if path.len() < 2 {
                 continue;
             }
@@ -93,14 +93,14 @@ impl LocPrfRosetta {
     ) -> usize {
         let mut added = 0;
         for entry in &snapshot.entries {
-            if entry.has_bogus_path() {
+            if entry.attrs.as_path.is_bogus() {
                 continue;
             }
             let Some(locpref) = entry.attrs.local_pref else { continue };
             if dictionary.has_locpref_tainting_community(&entry.attrs.communities) {
                 continue;
             }
-            let path: Vec<Asn> = entry.attrs.as_path.deprepended().asns().collect();
+            let path: Vec<Asn> = entry.attrs.as_path.hops().collect();
             if path.len() < 2 {
                 continue;
             }

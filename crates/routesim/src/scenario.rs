@@ -870,7 +870,7 @@ mod tests {
     fn paths_in_ribs_are_loop_free_and_end_at_the_origin_prefix_owner() {
         let s = small_scenario();
         for entry in &s.merged_snapshot().entries {
-            assert!(!entry.has_bogus_path(), "bogus path {}", entry.attrs.as_path);
+            assert!(!entry.attrs.as_path.is_bogus(), "bogus path {}", entry.attrs.as_path);
             let origin = entry.origin_asn().unwrap();
             assert_eq!(origin_prefix(origin, entry.plane()), entry.prefix);
             assert_eq!(entry.attrs.as_path.first(), Some(entry.peer.asn));

@@ -11,11 +11,12 @@ use hybrid_as_rel::mrt::bgp::{decode_attributes, encode_attributes, AttrContext}
 use hybrid_as_rel::prelude::{Scenario, SimConfig, TopologyConfig};
 use hybrid_as_rel::sim::propagate::{propagate_origins, PropagationOptions};
 use hybrid_as_rel::topology::HybridClass;
+use hybrid_as_rel::tor::extract::ExtractedData;
 use hybrid_as_rel::tor::hybrid::HybridFinding;
 use hybrid_as_rel::tor::impact::{correction_sweep_in, ImpactOptions, SweepCache, SweepOptions};
 use hybrid_as_rel::types::{
-    AsPath, Asn, Community, CommunitySet, IpVersion, PathAttributes, Prefix, Relationship,
-    RelationshipPair,
+    AsPath, AsPathSegment, Asn, Community, CommunitySet, IpVersion, PathAttributes, PeerId, Prefix,
+    Relationship, RelationshipPair, RibEntry, RibSnapshot,
 };
 
 fn arb_relationship() -> impl Strategy<Value = Relationship> {
@@ -765,6 +766,148 @@ proptest! {
             .build()
             .expect("snapshot inputs cannot fail");
         prop_assert_eq!(pipeline.run(input).to_json(), replayed);
+    }
+}
+
+/// An ASN for hostile paths: a tiny pool (so prepends and loops are
+/// common), a wider clean range, and the reserved 0, 23456 and 64512.
+fn arb_hostile_asn() -> impl Strategy<Value = Asn> {
+    prop_oneof![
+        1u32..4,
+        1u32..4,
+        10u32..60,
+        10u32..60,
+        10u32..60,
+        10u32..60,
+        10u32..60,
+        Just(0u32),
+        Just(23_456u32),
+        Just(64_512u32),
+    ]
+    .prop_map(Asn)
+}
+
+/// A hostile AS path: an optional AS_SET between two optional sequence
+/// segments, all drawn from [`arb_hostile_asn`]; no segment at all is the
+/// empty path.
+fn arb_hostile_path() -> impl Strategy<Value = AsPath> {
+    (
+        prop::collection::vec(arb_hostile_asn(), 0..6),
+        prop::option::of(prop::collection::vec(arb_hostile_asn(), 1..3)),
+        prop::collection::vec(arb_hostile_asn(), 0..3),
+    )
+        .prop_map(|(head, set, tail)| {
+            let segments = [
+                (!head.is_empty()).then_some(AsPathSegment::Sequence(head)),
+                set.map(AsPathSegment::Set),
+                (!tail.is_empty()).then_some(AsPathSegment::Sequence(tail)),
+            ];
+            AsPath::from_segments(segments.into_iter().flatten().collect()).expect("short path")
+        })
+}
+
+/// Everything extraction yields, graph layout included, in comparable
+/// form.
+fn extraction_layout(data: &ExtractedData) -> impl PartialEq + std::fmt::Debug {
+    let mut visibility: Vec<_> = data.v6_link_path_count.iter().map(|(&k, &v)| (k, v)).collect();
+    visibility.sort();
+    let edges = |plane| data.graph.plane_edges(plane).map(|e| (e.a, e.b)).collect::<Vec<_>>();
+    (
+        (data.entries_v4, data.entries_v6, data.discarded_entries),
+        (data.paths_v4.clone(), data.paths_v6.clone(), visibility),
+        data.graph.asns().collect::<Vec<_>>(),
+        (edges(IpVersion::V4), edges(IpVersion::V6)),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `hops` and `links` collapse prepends on the fly; they must agree
+    /// with the de-prepended path they stand in for, AS_SETs included.
+    #[test]
+    fn hops_and_links_match_the_deprepended_path(path in arb_hostile_path()) {
+        let once = path.deprepended();
+        prop_assert_eq!(path.hops().collect::<Vec<_>>(), once.asns().collect::<Vec<_>>());
+        let windows: Vec<(Asn, Asn)> = once
+            .segments()
+            .iter()
+            .filter(|seg| !seg.is_set())
+            .flat_map(|seg| seg.asns().windows(2).map(|w| (w[0], w[1])))
+            .collect();
+        prop_assert_eq!(path.links().collect::<Vec<_>>(), windows);
+    }
+
+    /// Random hostile BGP4MP sequences — announce and withdraw over a few
+    /// peers and prefixes on both planes, prepends, AS_SETs, loops,
+    /// reserved ASNs, out-of-order timestamps — keep the streaming
+    /// extraction counters equal to a fresh extraction after every record.
+    #[test]
+    fn hostile_update_sequences_keep_the_extract_cache_exact(
+        base in prop::collection::vec((0usize..3, 0usize..4, arb_hostile_path()), 0..6),
+        records in prop::collection::vec(
+            (0usize..3, 0u8..16, 0u8..16, arb_hostile_path(), any::<u32>()),
+            1..24,
+        ),
+    ) {
+        use hybrid_as_rel::mrt::bgp::BgpUpdate;
+        use hybrid_as_rel::mrt::record::bgp4mp_subtype;
+        use hybrid_as_rel::mrt::{Bgp4mpMessage, MrtHeader, MrtRecord, MrtRecordBody, MrtType};
+        use hybrid_as_rel::tor::extract::{extract, ExtractCache};
+        use hybrid_as_rel::tor::ingest::{ApplyStats, LiveRib};
+
+        let peers = [(1, "192.0.2.1"), (2, "2001:db8::2"), (3, "192.0.2.3")]
+            .map(|(asn, addr)| PeerId::new(Asn(asn), addr.parse().unwrap()));
+        let prefixes: [Prefix; 4] =
+            ["10.0.0.0/24", "10.0.1.0/24", "2001:db8:1::/48", "2001:db8:2::/48"]
+                .map(|text| text.parse().unwrap());
+        let pick = |mask: u8| -> Vec<Prefix> {
+            (0..4).filter(|i| mask & (1 << i) != 0).map(|i| prefixes[i]).collect()
+        };
+
+        let mut snapshot = RibSnapshot::default();
+        for (peer, prefix, path) in base {
+            let attrs = PathAttributes::with_path(path);
+            snapshot.push(RibEntry::new(peers[peer], prefixes[prefix], attrs));
+        }
+        let mut live = LiveRib::from_snapshot(&snapshot);
+        let mut cache = ExtractCache::from_rib(&live);
+        prop_assert_eq!(
+            extraction_layout(&cache.materialize()),
+            extraction_layout(&extract(&live.snapshot()))
+        );
+        let mut stats = ApplyStats::default();
+        for (i, (peer, withdrawn, announced, path, timestamp)) in records.into_iter().enumerate() {
+            let peer = peers[peer];
+            let message = Bgp4mpMessage {
+                peer_asn: peer.asn,
+                local_asn: Asn(6447),
+                interface_index: 0,
+                peer_addr: peer.addr,
+                local_addr: peer.addr,
+                update: Some(BgpUpdate {
+                    withdrawn: pick(withdrawn),
+                    attrs: PathAttributes::with_path(path),
+                    announced: pick(announced),
+                }),
+            };
+            let header = MrtHeader {
+                timestamp,
+                mrt_type: MrtType::Bgp4mp.code(),
+                subtype: bgp4mp_subtype::MESSAGE_AS4,
+                length: 0,
+            };
+            let record = MrtRecord::new(header, MrtRecordBody::Bgp4mp(message));
+            for delta in live.apply_record(&record, &mut stats) {
+                cache.apply(&delta);
+            }
+            prop_assert_eq!(
+                extraction_layout(&cache.materialize()),
+                extraction_layout(&extract(&live.snapshot())),
+                "record {}",
+                i
+            );
+        }
     }
 }
 
